@@ -1,7 +1,6 @@
 #include "core/Favors.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/Logging.hh"
 #include "network/Network.hh"
@@ -12,7 +11,7 @@ namespace spin
 
 Cycle
 FavorsNonMinimal::minActive(const Router &r, const Packet &pkt,
-                            const std::vector<PortId> &ports) const
+                            PortSet ports) const
 {
     // Congestion estimate for the best port of the set, in cycles.
     //
@@ -49,8 +48,7 @@ FavorsNonMinimal::sourceRoute(Packet &pkt, RouterId src)
         return;
 
     const Router &r = net_->router(src);
-    const auto &min_ports = topo.minimalPorts(src, dst);
-    const Cycle t_min = minActive(r, pkt, min_ports);
+    const Cycle t_min = minActive(r, pkt, topo.minimalPorts(src, dst));
     if (t_min == 0)
         return; // genuinely unloaded minimal path: route minimally
 
@@ -74,14 +72,6 @@ FavorsNonMinimal::sourceRoute(Packet &pkt, RouterId src)
     const Cycle h_nmin = topo.distance(src, inter) +
                          topo.distance(inter, dst);
     const Cycle t_nmin = minActive(r, pkt, topo.minimalPorts(src, inter));
-#ifdef SPIN_FAVORS_TRACE
-    static int cnt = 0;
-    if (++cnt % 500 == 0)
-        std::fprintf(stderr, "FAV tmin=%llu tnm=%llu hmin=%llu hnm=%llu -> %s\n",
-            (unsigned long long)t_min,(unsigned long long)t_nmin,
-            (unsigned long long)h_min,(unsigned long long)h_nmin,
-            (h_min + t_min > h_nmin + t_nmin) ? "DETOUR" : "minimal");
-#endif
     if (h_min + t_min > h_nmin + t_nmin) {
         pkt.intermediate = inter;
         pkt.misroutes = 1;

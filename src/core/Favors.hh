@@ -19,6 +19,7 @@
 #define SPINNOC_CORE_FAVORS_HH
 
 #include "routing/MinimalAdaptive.hh"
+#include "topology/Topology.hh"
 
 namespace spin
 {
@@ -45,7 +46,7 @@ class FavorsNonMinimal : public MinimalAdaptive
      * from the VC credit; 0 when an idle VC exists).
      */
     Cycle minActive(const Router &r, const Packet &pkt,
-                    const std::vector<PortId> &ports) const;
+                    PortSet ports) const;
 };
 
 } // namespace spin

@@ -115,7 +115,7 @@ OracleDetector::detect() const
                     if (w != 0) {
                         cands.resize(w);
                     } else {
-                        const std::vector<PortId> &mp =
+                        const PortSet mp =
                             fi->degraded().minimalPorts(b.r, target);
                         cands.assign(mp.begin(), mp.end());
                     }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/Logging.hh"
@@ -60,6 +61,37 @@ vnet1Cfg(const std::string &name, int vcs_per_vnet)
     return cfg;
 }
 
+/** A topology spec name, parsed but not built. */
+struct TopologyName
+{
+    enum Kind { Mesh, Torus, Ring, Dragonfly } kind = Mesh;
+    int x = 0;
+    int y = 0;
+};
+
+/** The topology-name grammar; nullopt with @p err set when unknown. */
+std::optional<TopologyName>
+parseTopologyName(const std::string &name, std::string &err)
+{
+    int x = 0, y = 0;
+    char tail = 0;
+    if (std::sscanf(name.c_str(), "mesh%dx%d%c", &x, &y, &tail) == 2 &&
+        x >= 2 && y >= 2) {
+        return TopologyName{TopologyName::Mesh, x, y};
+    }
+    if (std::sscanf(name.c_str(), "torus%dx%d%c", &x, &y, &tail) == 2 &&
+        x >= 2 && y >= 2) {
+        return TopologyName{TopologyName::Torus, x, y};
+    }
+    if (std::sscanf(name.c_str(), "ring%d%c", &x, &tail) == 1 && x >= 2)
+        return TopologyName{TopologyName::Ring, x, 0};
+    if (name == "dragonfly")
+        return TopologyName{TopologyName::Dragonfly, 0, 0};
+    err = "unknown topology '" + name +
+          "' (want mesh<X>x<Y>, torus<X>x<Y>, ring<N>, or dragonfly)";
+    return std::nullopt;
+}
+
 } // namespace
 
 std::uint64_t
@@ -113,25 +145,20 @@ findPreset(const std::string &name)
 std::shared_ptr<const Topology>
 makeTopologyByName(const std::string &name, std::string &err)
 {
-    int x = 0, y = 0;
-    char tail = 0;
-    if (std::sscanf(name.c_str(), "mesh%dx%d%c", &x, &y, &tail) == 2 &&
-        x >= 2 && y >= 2) {
-        return std::make_shared<Topology>(makeMesh(x, y));
+    const std::optional<TopologyName> t = parseTopologyName(name, err);
+    if (!t)
+        return nullptr;
+    switch (t->kind) {
+      case TopologyName::Mesh:
+        return std::make_shared<Topology>(makeMesh(t->x, t->y));
+      case TopologyName::Torus:
+        return std::make_shared<Topology>(makeTorus(t->x, t->y));
+      case TopologyName::Ring:
+        return std::make_shared<Topology>(makeRing(t->x));
+      case TopologyName::Dragonfly:
+        break;
     }
-    if (std::sscanf(name.c_str(), "torus%dx%d%c", &x, &y, &tail) == 2 &&
-        x >= 2 && y >= 2) {
-        return std::make_shared<Topology>(makeTorus(x, y));
-    }
-    if (std::sscanf(name.c_str(), "ring%d%c", &x, &tail) == 1 && x >= 2) {
-        return std::make_shared<Topology>(makeRing(x));
-    }
-    if (name == "dragonfly") {
-        return std::make_shared<Topology>(makePaperDragonfly());
-    }
-    err = "unknown topology '" + name +
-          "' (want mesh<X>x<Y>, torus<X>x<Y>, ring<N>, or dragonfly)";
-    return nullptr;
+    return std::make_shared<Topology>(makePaperDragonfly());
 }
 
 bool
@@ -450,7 +477,7 @@ SweepSpec::validate() const
     if (name.empty())
         return "spec: 'name' must be non-empty";
     std::string terr;
-    if (!makeTopologyByName(topology, terr))
+    if (!parseTopologyName(topology, terr))
         return "spec: " + terr;
     if (presets.empty())
         return "spec: 'presets' must be non-empty";

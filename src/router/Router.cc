@@ -232,8 +232,7 @@ Router::filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
     // The algorithm's candidates all died or detour: fall back to the
     // degraded minimal tables (alive by construction, non-empty since
     // dh >= 1).
-    const std::vector<PortId> &mp =
-        faults_->degraded().minimalPorts(id_, target);
+    const PortSet mp = faults_->degraded().minimalPorts(id_, target);
     SPIN_ASSERT(!mp.empty(), "degraded tables empty despite dh=", dh,
                 " at router ", id_);
     scratchPorts_.assign(mp.begin(), mp.end());

@@ -37,7 +37,7 @@ DimensionOrder::candidates(const Packet &, const Router &r,
         return;
     }
     // Table fallback: deterministic lowest minimal port.
-    const auto &ports = topo.minimalPorts(r.id(), target);
+    const PortSet ports = topo.minimalPorts(r.id(), target);
     SPIN_ASSERT(!ports.empty(), "no minimal port");
     out.push_back(ports.front());
 }

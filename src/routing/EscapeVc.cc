@@ -35,7 +35,7 @@ EscapeVc::candidates(const Packet &pkt, const Router &r, RouterId target,
         out.push_back(westFirstNextPort(m, r.id(), target));
         return;
     }
-    const auto &ports = net_->topo().minimalPorts(r.id(), target);
+    const PortSet ports = net_->topo().minimalPorts(r.id(), target);
     out.assign(ports.begin(), ports.end());
 }
 

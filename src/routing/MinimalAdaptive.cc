@@ -12,7 +12,7 @@ MinimalAdaptive::candidates(const Packet &, const Router &r,
                             RouterId target,
                             std::vector<PortId> &out) const
 {
-    const auto &ports = net_->topo().minimalPorts(r.id(), target);
+    const PortSet ports = net_->topo().minimalPorts(r.id(), target);
     SPIN_ASSERT(!ports.empty(), "no minimal port from ", r.id(), " to ",
                 target);
     out.assign(ports.begin(), ports.end());

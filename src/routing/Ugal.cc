@@ -33,7 +33,7 @@ Ugal::attach(Network &net)
 }
 
 int
-Ugal::minOccupancy(const Router &r, const std::vector<PortId> &ports) const
+Ugal::minOccupancy(const Router &r, PortSet ports) const
 {
     int best = std::numeric_limits<int>::max();
     for (const PortId p : ports)
@@ -103,7 +103,7 @@ Ugal::candidates(const Packet &, const Router &r, RouterId target,
 {
     const Topology &topo = net_->topo();
     if (!vcOrdered_) {
-        const auto &ports = topo.minimalPorts(r.id(), target);
+        const PortSet ports = topo.minimalPorts(r.id(), target);
         SPIN_ASSERT(!ports.empty(), "no minimal port");
         out.assign(ports.begin(), ports.end());
         return;
@@ -119,7 +119,7 @@ Ugal::candidates(const Packet &, const Router &r, RouterId target,
     const int tg = df.groupOf(target);
     out.clear();
     if (rg == tg) {
-        const auto &ports = topo.minimalPorts(r.id(), target);
+        const PortSet ports = topo.minimalPorts(r.id(), target);
         SPIN_ASSERT(!ports.empty(), "no local port to group peer");
         out.push_back(ports.front());
         return;
@@ -131,7 +131,7 @@ Ugal::candidates(const Packet &, const Router &r, RouterId target,
     if (gw == r.id()) {
         out.push_back(exitPort_[pair]);
     } else {
-        const auto &ports = topo.minimalPorts(r.id(), gw);
+        const PortSet ports = topo.minimalPorts(r.id(), gw);
         SPIN_ASSERT(!ports.empty(), "no local port to gateway");
         out.push_back(ports.front());
     }

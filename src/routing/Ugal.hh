@@ -16,6 +16,7 @@
 #define SPINNOC_ROUTING_UGAL_HH
 
 #include "routing/RoutingAlgorithm.hh"
+#include "topology/Topology.hh"
 
 namespace spin
 {
@@ -68,8 +69,7 @@ class Ugal : public RoutingAlgorithm
     std::vector<PortId> exitPort_;
 
     /** Congestion estimate: min downstream occupancy over @p ports. */
-    int minOccupancy(const Router &r,
-                     const std::vector<PortId> &ports) const;
+    int minOccupancy(const Router &r, PortSet ports) const;
 };
 
 } // namespace spin

@@ -1,9 +1,5 @@
 #include "topology/Topology.hh"
 
-#include <algorithm>
-#include <deque>
-#include <queue>
-
 #include "common/Logging.hh"
 
 namespace spin
@@ -71,24 +67,30 @@ Topology::finalizeImpl(bool strict)
     SPIN_ASSERT(!finalized_, "finalize() called twice");
     const int n = numRouters();
 
-    outLinkIdx_.assign(n, {});
-    inLinkIdx_.assign(n, {});
+    portBase_.assign(n + 1, 0);
     for (int r = 0; r < n; ++r) {
-        outLinkIdx_[r].assign(radix_[r], -1);
-        inLinkIdx_[r].assign(radix_[r], -1);
+        if (radix_[r] > 64) {
+            SPIN_FATAL("router ", r, " has ", radix_[r],
+                       " ports; port masks support at most 64");
+        }
+        portBase_[r + 1] = portBase_[r] + radix_[r];
     }
+    outLinkIdx_.assign(portBase_[n], -1);
+    inLinkIdx_.assign(portBase_[n], -1);
     for (std::size_t i = 0; i < links_.size(); ++i) {
         const LinkSpec &l = links_[i];
-        if (outLinkIdx_[l.src][l.srcPort] != -1) {
+        std::int32_t &out = outLinkIdx_[portBase_[l.src] + l.srcPort];
+        std::int32_t &in = inLinkIdx_[portBase_[l.dst] + l.dstPort];
+        if (out != -1) {
             SPIN_FATAL("router ", l.src, " out-port ", l.srcPort,
                        " wired twice");
         }
-        if (inLinkIdx_[l.dst][l.dstPort] != -1) {
+        if (in != -1) {
             SPIN_FATAL("router ", l.dst, " in-port ", l.dstPort,
                        " wired twice");
         }
-        outLinkIdx_[l.src][l.srcPort] = static_cast<std::int32_t>(i);
-        inLinkIdx_[l.dst][l.dstPort] = static_cast<std::int32_t>(i);
+        out = static_cast<std::int32_t>(i);
+        in = static_cast<std::int32_t>(i);
     }
 
     nodesAt_.assign(n, {});
@@ -97,37 +99,31 @@ Topology::finalizeImpl(bool strict)
             SPIN_FATAL("NIC ", a.node, " attached to bad router ", a.router);
         if (a.port < 0 || a.port >= radix_[a.router])
             SPIN_FATAL("NIC ", a.node, " attached to bad port ", a.port);
-        if (outLinkIdx_[a.router][a.port] != -1 ||
-            inLinkIdx_[a.router][a.port] != -1) {
+        const std::int32_t slot = portBase_[a.router] + a.port;
+        if (outLinkIdx_[slot] != -1 || inLinkIdx_[slot] != -1) {
             SPIN_FATAL("NIC ", a.node, " port collides with a link at "
                        "router ", a.router, " port ", a.port);
         }
         nodesAt_[a.router].push_back(a.node);
     }
 
-    // BFS from every source router over the router graph (hop metric);
-    // also a latency-weighted Dijkstra for zero-load latency estimates.
-    dist_.assign(n, std::vector<std::int16_t>(n, -1));
-    latDist_.assign(n, std::vector<std::int32_t>(n, -1));
-    minPorts_.assign(n, std::vector<std::vector<PortId>>(n));
-
-    // adjacency: per router list of (port, dst, latency)
-    struct Edge { PortId port; RouterId dst; Cycle lat; };
-    std::vector<std::vector<Edge>> adj(n);
-    for (const LinkSpec &l : links_)
-        adj[l.src].push_back(Edge{l.srcPort, l.dst, l.latency});
-
+    // BFS from every source router over the router graph (hop metric).
+    const std::size_t nn = static_cast<std::size_t>(n) * n;
+    dist_.assign(nn, -1);
+    std::vector<int> queue(n);
     for (int s = 0; s < n; ++s) {
-        auto &dist = dist_[s];
+        std::int16_t *dist = &dist_[pairIndex(s, 0)];
         dist[s] = 0;
-        std::deque<int> q{s};
-        while (!q.empty()) {
-            const int u = q.front();
-            q.pop_front();
-            for (const Edge &e : adj[u]) {
-                if (dist[e.dst] < 0) {
-                    dist[e.dst] = static_cast<std::int16_t>(dist[u] + 1);
-                    q.push_back(e.dst);
+        queue[0] = s;
+        for (int head = 0, tail = 1; head < tail; ++head) {
+            const int u = queue[head];
+            for (std::int32_t i = portBase_[u]; i < portBase_[u + 1]; ++i) {
+                if (outLinkIdx_[i] < 0)
+                    continue;
+                const RouterId v = links_[outLinkIdx_[i]].dst;
+                if (dist[v] < 0) {
+                    dist[v] = static_cast<std::int16_t>(dist[u] + 1);
+                    queue[tail++] = v;
                 }
             }
         }
@@ -137,42 +133,26 @@ Topology::finalizeImpl(bool strict)
                            s, " -> ", t);
             }
         }
-        // minimal next-hop ports: port p of s is minimal toward t iff
-        // dist(neighbor(p), t) == dist(s, t) - 1... computed below after
-        // all dist rows exist.
     }
 
+    // Port p of s is minimal toward t iff dist(neighbor(p), t) ==
+    // dist(s, t) - 1. Unreachable pairs (-1) never match: no distance
+    // is -2.
+    minMask_.assign(nn, 0);
     for (int s = 0; s < n; ++s) {
-        for (const Edge &e : adj[s]) {
-            for (int t = 0; t < n; ++t) {
-                if (t != s && dist_[e.dst][t] == dist_[s][t] - 1)
-                    minPorts_[s][t].push_back(e.port);
-            }
-        }
-        for (int t = 0; t < n; ++t)
-            std::sort(minPorts_[s][t].begin(), minPorts_[s][t].end());
-    }
-
-    // Latency-weighted shortest path (Dijkstra, small graphs).
-    for (int s = 0; s < n; ++s) {
-        auto &ld = latDist_[s];
-        using Item = std::pair<std::int32_t, int>;
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-        ld[s] = 0;
-        pq.emplace(0, s);
-        while (!pq.empty()) {
-            auto [d, u] = pq.top();
-            pq.pop();
-            if (d > ld[u])
+        const std::int16_t *ds = &dist_[pairIndex(s, 0)];
+        std::uint64_t *mask = &minMask_[pairIndex(s, 0)];
+        for (PortId p = 0; p < radix_[s]; ++p) {
+            const std::int32_t li = outLinkIdx_[portBase_[s] + p];
+            if (li < 0)
                 continue;
-            for (const Edge &e : adj[u]) {
-                const std::int32_t nd = d + static_cast<std::int32_t>(e.lat);
-                if (ld[e.dst] < 0 || nd < ld[e.dst]) {
-                    ld[e.dst] = nd;
-                    pq.emplace(nd, e.dst);
-                }
-            }
+            const std::int16_t *dn = &dist_[pairIndex(links_[li].dst, 0)];
+            const std::uint64_t bit = std::uint64_t{1} << p;
+            for (int t = 0; t < n; ++t)
+                mask[t] |= dn[t] == ds[t] - 1 ? bit : 0;
         }
+        // t == s matched every neighbor that cannot reach s (-1 == 0 - 1).
+        mask[s] = 0;
     }
 
     finalized_ = true;
@@ -188,7 +168,7 @@ const LinkSpec *
 Topology::outLink(RouterId r, PortId port) const
 {
     checkFinalized();
-    const std::int32_t i = outLinkIdx_[r][port];
+    const std::int32_t i = outLinkIdx_[portBase_[r] + port];
     return i < 0 ? nullptr : &links_[i];
 }
 
@@ -196,7 +176,7 @@ const LinkSpec *
 Topology::inLink(RouterId r, PortId port) const
 {
     checkFinalized();
-    const std::int32_t i = inLinkIdx_[r][port];
+    const std::int32_t i = inLinkIdx_[portBase_[r] + port];
     return i < 0 ? nullptr : &links_[i];
 }
 
@@ -222,21 +202,14 @@ int
 Topology::distance(RouterId from, RouterId to) const
 {
     checkFinalized();
-    return dist_[from][to];
+    return dist_[pairIndex(from, to)];
 }
 
-const std::vector<PortId> &
+PortSet
 Topology::minimalPorts(RouterId from, RouterId to) const
 {
     checkFinalized();
-    return minPorts_[from][to];
-}
-
-Cycle
-Topology::latencyDistance(RouterId from, RouterId to) const
-{
-    checkFinalized();
-    return static_cast<Cycle>(latDist_[from][to]);
+    return PortSet(minMask_[pairIndex(from, to)]);
 }
 
 } // namespace spin

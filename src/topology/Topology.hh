@@ -13,7 +13,10 @@
 #ifndef SPINNOC_TOPOLOGY_TOPOLOGY_HH
 #define SPINNOC_TOPOLOGY_TOPOLOGY_HH
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,6 +97,58 @@ struct RingInfo
 };
 
 /**
+ * A set of out-ports of one router, stored as a bitmask (bit p = port
+ * p; radix <= 64). Iterates in ascending port order.
+ */
+class PortSet
+{
+  public:
+    /** Forward iterator over the set bits, lowest first. */
+    class iterator
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = PortId;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = PortId;
+
+        iterator() = default;
+        explicit iterator(std::uint64_t rest) : rest_(rest) {}
+        PortId operator*() const { return std::countr_zero(rest_); }
+        iterator &
+        operator++()
+        {
+            rest_ &= rest_ - 1;
+            return *this;
+        }
+        iterator
+        operator++(int)
+        {
+            const iterator old = *this;
+            ++*this;
+            return old;
+        }
+        bool operator==(const iterator &) const = default;
+
+      private:
+        std::uint64_t rest_ = 0;
+    };
+
+    explicit PortSet(std::uint64_t mask) : mask_(mask) {}
+
+    iterator begin() const { return iterator(mask_); }
+    iterator end() const { return iterator(); }
+    bool empty() const { return mask_ == 0; }
+    std::size_t size() const { return std::popcount(mask_); }
+    /** Lowest port of a non-empty set. */
+    PortId front() const { return std::countr_zero(mask_); }
+
+  private:
+    std::uint64_t mask_ = 0;
+};
+
+/**
  * Immutable topology description plus derived routing tables.
  * Build one with the generator functions (makeMesh, makeDragonfly, ...)
  * or assemble a custom instance and call finalize().
@@ -119,7 +174,8 @@ class Topology
     /**
      * Validate the assembled graph and derive routing tables
      * (hop distances, minimal next-hop port sets).
-     * @throws FatalError if the router graph is not strongly connected.
+     * @throws FatalError if the router graph is not strongly connected
+     *         or a router has more than 64 ports.
      */
     void finalize();
     /**
@@ -159,11 +215,8 @@ class Topology
     /** Minimal hop count between routers (router graph, unweighted). */
     int distance(RouterId from, RouterId to) const;
     /** Out-ports of @p from on some minimal path to @p to (non-empty
-     *  unless from == to). */
-    const std::vector<PortId> &minimalPorts(RouterId from,
-                                            RouterId to) const;
-    /** Minimal latency (sum of link latencies) between routers. */
-    Cycle latencyDistance(RouterId from, RouterId to) const;
+     *  unless from == to or @p to is unreachable). */
+    PortSet minimalPorts(RouterId from, RouterId to) const;
     /// @}
 
     /// @name Metadata
@@ -179,21 +232,28 @@ class Topology
     std::vector<LinkSpec> links_;
     std::vector<NicAttach> nics_;
 
-    // (router, port) -> index into links_ or -1, flattened.
-    std::vector<std::vector<std::int32_t>> outLinkIdx_;
-    std::vector<std::vector<std::int32_t>> inLinkIdx_;
+    // (router, port) -> index into links_ or -1, at portBase_[router]
+    // + port.
+    std::vector<std::int32_t> portBase_;
+    std::vector<std::int32_t> outLinkIdx_;
+    std::vector<std::int32_t> inLinkIdx_;
     std::vector<std::vector<NodeId>> nodesAt_;
 
-    // dist_[from][to], minPorts_[from][to].
-    std::vector<std::vector<std::int16_t>> dist_;
-    std::vector<std::vector<std::int32_t>> latDist_;
-    std::vector<std::vector<std::vector<PortId>>> minPorts_;
+    // Per router pair, at from * numRouters() + to: hop distance (-1
+    // when unreachable) and the minimal next-hop port mask.
+    std::vector<std::int16_t> dist_;
+    std::vector<std::uint64_t> minMask_;
 
     bool finalized_ = false;
     bool partial_ = false;
 
     void finalizeImpl(bool strict);
     void checkFinalized() const;
+    std::size_t
+    pairIndex(RouterId from, RouterId to) const
+    {
+        return static_cast<std::size_t>(from) * radix_.size() + to;
+    }
 };
 
 } // namespace spin

@@ -116,6 +116,20 @@ TEST(SweepSpecTest, RejectsBadDocuments)
         "rates": [0.1], "measure": 0})", "measure"));
 }
 
+TEST(SweepSpecTest, ValidateAcceptsExactlyTheBuildableTopologyNames)
+{
+    SweepSpec s;
+    ASSERT_TRUE(builtinSpec("ci-smoke", s));
+    for (const char *name : {"mesh4x4", "torus4x3", "ring5", "dragonfly",
+                             "mesh1x4", "mesh4x4x", "torus4", "ring1",
+                             "Dragonfly", ""}) {
+        s.topology = name;
+        std::string terr;
+        const bool builds = makeTopologyByName(name, terr) != nullptr;
+        EXPECT_EQ(s.validate(), builds ? "" : "spec: " + terr) << name;
+    }
+}
+
 TEST(SweepSpecTest, BuiltinSpecsAllValidateAndExpand)
 {
     for (const std::string &name : builtinSpecNames()) {

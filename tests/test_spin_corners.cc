@@ -50,7 +50,7 @@ class TableRouting : public RoutingAlgorithm
             return;
         }
         // Fallback: any minimal port.
-        const auto &ports = net_->topo().minimalPorts(r.id(), target);
+        const PortSet ports = net_->topo().minimalPorts(r.id(), target);
         out.push_back(ports.front());
         (void)pkt;
     }

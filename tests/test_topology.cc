@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/Logging.hh"
 #include "topology/Dragonfly.hh"
@@ -76,7 +77,7 @@ TEST(Mesh, MinimalPortsAreProductive)
         for (RouterId b = 0; b < 64; b += 5) {
             if (a == b)
                 continue;
-            const auto &ports = t.minimalPorts(a, b);
+            const PortSet ports = t.minimalPorts(a, b);
             ASSERT_FALSE(ports.empty());
             for (const PortId p : ports) {
                 const LinkSpec *l = t.outLink(a, p);
@@ -260,14 +261,80 @@ TEST(RandomRegular, RejectsOddStubCount)
     EXPECT_THROW(makeRandomRegular(5, 3, rng), FatalError);
 }
 
-TEST(Topology, LatencyDistanceWeighted)
+/** Every (s, t) entry equals {p : dist(neighbor(p), t) == dist(s, t) - 1}
+ *  in ascending order, and is empty only on the diagonal. */
+void
+expectMinimalTables(const Topology &t)
 {
-    const Topology t = makePaperDragonfly();
-    const DragonflyInfo &d = *t.dragonfly;
-    // Two routers in the same group: 1-cycle local link.
-    EXPECT_EQ(t.latencyDistance(d.routerOf(0, 0), d.routerOf(0, 1)), 1u);
-    // Across groups at least one 3-cycle global link is involved.
-    EXPECT_GE(t.latencyDistance(d.routerOf(0, 0), d.routerOf(5, 3)), 3u);
+    for (RouterId s = 0; s < t.numRouters(); ++s) {
+        for (RouterId d = 0; d < t.numRouters(); ++d) {
+            std::vector<PortId> want;
+            for (PortId p = 0; p < t.radix(s); ++p) {
+                const LinkSpec *l = t.outLink(s, p);
+                if (l && t.distance(l->dst, d) == t.distance(s, d) - 1)
+                    want.push_back(p);
+            }
+            const PortSet got = t.minimalPorts(s, d);
+            ASSERT_EQ(std::vector<PortId>(got.begin(), got.end()), want)
+                << s << " -> " << d;
+            ASSERT_EQ(got.size(), want.size());
+            ASSERT_EQ(got.empty(), s == d) << s << " -> " << d;
+            if (!want.empty()) {
+                ASSERT_EQ(got.front(), want.front());
+            }
+        }
+    }
+}
+
+TEST(Topology, MinimalPortTablesTorus8x8)
+{
+    expectMinimalTables(makeTorus(8, 8));
+}
+
+TEST(Topology, MinimalPortTablesPaperDragonfly)
+{
+    expectMinimalTables(makePaperDragonfly());
+}
+
+TEST(Topology, MinimalPortTablesRandomRegular)
+{
+    Random rng(7);
+    expectMinimalTables(makeRandomRegular(24, 5, rng));
+}
+
+TEST(Topology, PartialTablesLeaveUnreachablePairsEmpty)
+{
+    // Router 2 hears from router 1 but has no way back out.
+    Topology t;
+    t.setRouters(3, 2);
+    t.addBiLink(0, 0, 1, 0);
+    t.addLink(LinkSpec{1, 1, 2, 1});
+    t.finalizePartial();
+    EXPECT_TRUE(t.partial());
+    EXPECT_EQ(t.distance(0, 2), 2);
+    EXPECT_EQ(t.minimalPorts(0, 2).front(), 0);
+    for (RouterId s : {0, 1}) {
+        EXPECT_EQ(t.distance(2, s), -1);
+        EXPECT_TRUE(t.minimalPorts(2, s).empty());
+    }
+    EXPECT_TRUE(t.minimalPorts(2, 2).empty());
+    EXPECT_TRUE(t.minimalPorts(1, 1).empty());
+}
+
+TEST(Topology, PortMasksCoverRadix64Only)
+{
+    Topology wide;
+    wide.setRouters(2, 64);
+    wide.addBiLink(0, 63, 1, 63);
+    wide.finalize();
+    const PortSet top = wide.minimalPorts(0, 1);
+    EXPECT_EQ(top.size(), 1u);
+    EXPECT_EQ(top.front(), 63);
+
+    Topology too_wide;
+    too_wide.setRouters(2, 65);
+    too_wide.addBiLink(0, 0, 1, 0);
+    EXPECT_THROW(too_wide.finalize(), FatalError);
 }
 
 TEST(Topology, CustomGraphValidation)
