@@ -1,21 +1,16 @@
 /**
  * @file
- * Shared harness for the table/figure reproduction benches: latency
- * versus injection-rate sweeps with warmup, saturation early-exit, and
- * aligned table printing. Every bench accepts:
+ * Shared harness for the classic table/figure benches (the ones that
+ * drive their own networks instead of a sweep spec): the flag table,
+ * --metrics/--profile/--trace plumbing, the --wall-limit watchdog and
+ * the --json reporter.
  *
- *   --warmup N     warmup cycles per point
- *   --measure N    measurement cycles per point
- *   --fast         quarter-scale run for smoke testing
- *   --seed N       override the preset's RNG seed
- *   --json PATH    also write the results as machine-readable JSON
- *   --trace PATH   capture a Chrome trace (chrome://tracing / Perfetto)
- *                  of the first simulated network
- *
- * Unknown flags are rejected with the usage message. The printed
- * rows/series match the paper's figure; absolute numbers differ from
- * the paper's gem5 testbed, the *shape* (who saturates first, by
- * roughly what factor) is what EXPERIMENTS.md validates.
+ * Every bench flag is one row of Options::flags(). A bench's main()
+ * names the subset it reads; Options::parse() accepts exactly those
+ * (anything else exits 2 with the usage) and generates --help from the
+ * same rows. The printed rows/series match the paper's figure; absolute
+ * numbers differ from the paper's gem5 testbed, the *shape* is what
+ * EXPERIMENTS.md validates.
  */
 
 #ifndef SPINNOC_BENCH_BENCHUTIL_HH
@@ -24,9 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,156 +27,126 @@
 #include <vector>
 
 #include "common/Logging.hh"
-#include "deadlock/Invariants.hh"
 #include "exp/ArgParse.hh"
 #include "exp/Report.hh"
-#include "fault/FaultSchedule.hh"
 #include "network/NetworkBuilder.hh"
 #include "obs/Json.hh"
 #include "obs/Metrics.hh"
 #include "obs/Profiler.hh"
 #include "obs/Tracer.hh"
-#include "traffic/SyntheticInjector.hh"
 
 namespace spin::bench
 {
 
-/** Common CLI options. */
+/** Bench CLI options; each field is set by one row of flags(). */
 struct Options
 {
-    Cycle warmup = 2000;
-    Cycle measure = 4000;
     bool fast = false;
     std::uint64_t seed = 0;
     bool seedSet = false;
+    /** Threads inside each simulated network's step(). Results are
+     *  bit-identical for any value (docs/SCALING.md), so this is an
+     *  execution knob and never lands in the JSON export. */
+    std::uint64_t threads = 1;
+    /** End-to-end reliable delivery with ReliabilityConfig's default
+     *  knobs; off keeps runs byte-identical to historical baselines. */
+    bool reliability = false;
     std::string jsonPath;
-    std::string tracePath;
-    std::string faultsPath;
     std::string metricsPath;
     Cycle metricsInterval = 256;
-    /** Run the invariant auditor every N cycles; 0 disables. A
-     *  violation fails the bench fast with a spin-audit/v1 report. */
-    Cycle auditInterval = 0;
     bool profile = false;
-    /** Threads inside each simulated network's step() (--threads).
-     *  Results are bit-identical for any value (docs/SCALING.md), so
-     *  this is an execution knob and never lands in the JSON export. */
-    std::uint64_t threads = 1;
-    /** End-to-end reliability (--reliability and friends). Defaults
-     *  mirror ReliabilityConfig; the knobs only take effect when
-     *  reliability is on, so reliability-off runs stay byte-identical
-     *  to historical baselines. */
-    bool reliability = false;
-    std::uint64_t retxTimeout = 512;
-    std::uint64_t retxMax = 5;
-    std::uint64_t linkRetries = 3;
-    std::uint64_t watchdog = 100000;
-    /** Wall-clock watchdog in seconds (--wall-limit); 0 disables. On
-     *  overrun the bench dumps telemetry (plus NIC retransmit state
-     *  when reliability is on) and fails fast instead of hanging CI. */
+    std::string tracePath;
+    std::string faultsPath;
+    /** Wall-clock watchdog in seconds; 0 disables. On overrun the bench
+     *  dumps telemetry (plus NIC retransmit state) and fails fast
+     *  instead of hanging CI. */
     std::uint64_t wallLimit = 0;
 
-    static const char *
-    usage()
+    /** Every bench flag, defined once, bound to this object's fields. */
+    std::vector<exp::ArgSpec>
+    flags()
     {
-        return "options:\n"
-               "  --warmup N     warmup cycles per point\n"
-               "  --measure N    measurement cycles per point\n"
-               "  --fast         quarter-scale smoke run\n"
-               "  --seed N       override the preset RNG seed\n"
-               "  --json PATH    write results as JSON\n"
-               "  --trace PATH   write a Chrome trace of the first "
-               "network\n"
-               "  --faults PATH  inject faults from a spin-faults/v2 "
-               "spec\n"
-               "  --metrics PATH spin-metrics/v2 JSONL of every "
-               "simulated network\n"
-               "  --metrics-interval N  metrics window in cycles "
-               "(default 256)\n"
-               "  --audit N      run the invariant auditor every N "
-               "cycles;\n"
-               "                 fail fast with a spin-audit/v1 report\n"
-               "  --profile      per-phase wall-clock attribution\n"
-               "  --threads N    threads inside each simulated network\n"
-               "                 (default 1; bit-identical results for "
-               "any N)\n"
-               "  --reliability  end-to-end reliable delivery (CRC, "
-               "link retry,\n"
-               "                 NIC retransmission; docs/FAULTS.md)\n"
-               "  --retx-timeout N  base ack timeout in cycles "
-               "(default 512)\n"
-               "  --retx-max N   retransmit attempts before abandoning "
-               "(default 5)\n"
-               "  --link-retries N  per-link retry budget per flit "
-               "(default 3)\n"
-               "  --watchdog N   livelock watchdog budget in cycles\n"
-               "                 (default 100000)\n"
-               "  --wall-limit N fail fast after N wall-clock seconds "
-               "with a\n"
-               "                 telemetry dump (0 = off)\n"
-               "  --help         this message\n";
+        return {
+            exp::argFlag("--fast", &fast, "quarter-scale smoke run"),
+            exp::argU64("--seed", &seed, "override the preset RNG seed",
+                        &seedSet),
+            exp::argU64("--threads", &threads,
+                        "threads inside each simulated network (default "
+                        "1; bit-identical results for any N)"),
+            exp::argFlag("--reliability", &reliability,
+                         "end-to-end reliable delivery: CRC, link retry, "
+                         "NIC retransmission (docs/FAULTS.md)"),
+            exp::argStr("--json", &jsonPath, "write results as JSON"),
+            exp::argStr("--metrics", &metricsPath,
+                        "spin-metrics/v2 JSONL of every simulated network"),
+            exp::argU64("--metrics-interval", &metricsInterval,
+                        "metrics window in cycles (default 256)"),
+            exp::argFlag("--profile", &profile,
+                         "per-phase wall-clock attribution"),
+            exp::argStr("--trace", &tracePath,
+                        "write a Chrome trace of the simulated network"),
+            exp::argStr("--faults", &faultsPath,
+                        "inject faults from a spin-faults/v2 spec"),
+            exp::argU64("--wall-limit", &wallLimit,
+                        "fail fast after N wall-clock seconds with a "
+                        "telemetry dump (0 = off)"),
+        };
+    }
+
+    /** The rows of flags() named in @p accepted, in table order. */
+    std::vector<exp::ArgSpec>
+    flags(const std::vector<std::string> &accepted)
+    {
+        std::vector<exp::ArgSpec> out;
+        for (exp::ArgSpec &spec : flags()) {
+            for (const std::string &name : accepted) {
+                if (spec.spelledAs(name)) {
+                    out.push_back(std::move(spec));
+                    break;
+                }
+            }
+        }
+        SPIN_ASSERT(out.size() == accepted.size(),
+                    "accepted list names a flag missing from flags()");
+        return out;
     }
 
     /**
-     * Testable parser core, built on exp::ArgParse: unknown flags,
-     * missing values and malformed numerics all fail with @p err set;
-     * never exits. "--help" is treated as an error here so parse() can
-     * special-case it.
+     * Testable parser core: parse @p argv against the @p accepted
+     * subset of flags(). Unknown or unaccepted flags, missing values
+     * and malformed numerics fail with @p err set; never exits.
      */
     static bool
-    parseInto(Options &o, int argc, char **argv, std::string &err)
+    parseInto(Options &o, int argc, char **argv,
+              const std::vector<std::string> &accepted, std::string &err)
     {
-        const std::vector<exp::ArgSpec> specs = {
-            exp::argU64("--warmup", &o.warmup),
-            exp::argU64("--measure", &o.measure),
-            exp::argU64("--seed", &o.seed, &o.seedSet),
-            exp::argStr("--json", &o.jsonPath),
-            exp::argStr("--trace", &o.tracePath),
-            exp::argStr("--faults", &o.faultsPath),
-            exp::argStr("--metrics", &o.metricsPath),
-            exp::argU64("--metrics-interval", &o.metricsInterval),
-            exp::argU64("--audit", &o.auditInterval),
-            exp::argFlag("--profile", &o.profile),
-            exp::argU64("--threads", &o.threads),
-            exp::argFlag("--reliability", &o.reliability),
-            exp::argU64("--retx-timeout", &o.retxTimeout),
-            exp::argU64("--retx-max", &o.retxMax),
-            exp::argU64("--link-retries", &o.linkRetries),
-            exp::argU64("--watchdog", &o.watchdog),
-            exp::argU64("--wall-limit", &o.wallLimit),
-            exp::argFlag("--fast", &o.fast),
-        };
-        if (!exp::parseArgs(argc, argv, specs, err))
-            return false;
-        if (o.fast) {
-            o.warmup /= 4;
-            o.measure /= 4;
-        }
-        return true;
+        return exp::parseArgs(argc, argv, o.flags(accepted), err);
     }
 
-    /** CLI entry: parse or die with the usage message. */
+    /** CLI entry: parse the @p accepted flags plus -h/--help, or exit
+     *  (0 after --help, 2 with the usage on any parse error). */
     static Options
-    parse(int argc, char **argv)
+    parse(int argc, char **argv, const std::vector<std::string> &accepted)
     {
-        for (int i = 1; i < argc; ++i) {
-            if (!std::strcmp(argv[i], "--help") ||
-                !std::strcmp(argv[i], "-h")) {
-                std::printf("%s", usage());
-                std::exit(0);
-            }
-        }
         Options o;
+        bool help = false;
+        std::vector<exp::ArgSpec> specs = o.flags(accepted);
+        specs.push_back(exp::argFlag("-h, --help", &help, "this message"));
         std::string err;
-        if (!parseInto(o, argc, argv, err)) {
+        if (!exp::parseArgs(argc, argv, specs, err)) {
             std::fprintf(stderr, "%s: %s\n%s", argv[0], err.c_str(),
-                         usage());
+                         exp::usage(specs).c_str());
             std::exit(2);
+        }
+        if (help) {
+            std::printf("usage: %s [options]\n%s", argv[0],
+                        exp::usage(specs).c_str());
+            std::exit(0);
         }
         return o;
     }
 
-    /** Apply CLI overrides (--seed, --threads) to a raw config before
+    /** Apply --seed, --threads and --reliability to a raw config before
      *  building (for benches that assemble their own NetworkConfig). */
     void
     apply(NetworkConfig &cfg) const
@@ -191,18 +154,11 @@ struct Options
         if (seedSet)
             cfg.seed = seed;
         cfg.threads = threads > 0 ? static_cast<int>(threads) : 1;
-        if (reliability) {
+        if (reliability)
             cfg.reliability.enabled = true;
-            cfg.reliability.ackTimeout = retxTimeout;
-            cfg.reliability.maxRetransmits = static_cast<int>(retxMax);
-            cfg.reliability.maxLinkRetries =
-                static_cast<int>(linkRetries);
-            cfg.reliability.watchdogBudget = watchdog;
-        }
     }
 
-    /** Apply CLI overrides (--seed, --threads) to a preset before
-     *  building. */
+    /** Apply the same overrides to a preset before building. */
     void
     apply(ConfigPreset &p) const
     {
@@ -212,10 +168,11 @@ struct Options
 
 /**
  * Shared append stream for --metrics: a bench simulates many networks
- * (one per sweep point) that all publish into one JSONL file, so the
- * stream is opened once per path and every network gets a borrowing
- * StreamMetricsSink. Returns nullptr (after complaining once) when the
- * path cannot be opened. Benches are single-threaded by construction.
+ * (fig03: one per pattern and rate) that all publish into one JSONL
+ * file, so the stream is opened once per path and every network gets a
+ * borrowing StreamMetricsSink. Returns nullptr (after complaining once)
+ * when the path cannot be opened. Benches are single-threaded by
+ * construction.
  */
 inline std::ostream *
 sharedMetricsStream(const std::string &path)
@@ -308,219 +265,24 @@ class WallLimitGuard
     std::uint64_t ticks_ = 0;
 };
 
-/** One point of a latency/throughput sweep. */
-struct SweepPoint
-{
-    double rate = 0.0;
-    double latency = 0.0;    //!< avg end-to-end latency, cycles
-    double throughput = 0.0; //!< received flits/node/cycle
-    bool saturated = false;
-};
-
-/** Result of a sweep: points plus the estimated saturation rate. */
-struct SweepResult
-{
-    std::vector<SweepPoint> points;
-    /**
-     * Last offered rate whose received throughput stayed within 10% of
-     * offered and whose latency stayed under the saturation cap.
-     */
-    double saturationRate = 0.0;
-};
-
-/**
- * Run one latency-vs-injection sweep.
- *
- * A point counts as saturated when the average latency exceeds
- * @p latency_cap or throughput falls >10% below offered load; the sweep
- * stops two points after first saturation (enough to draw the knee).
- *
- * @p instrument, when set, is invoked on each freshly built network
- * before simulation starts (e.g. to attach a tracer or samplers).
- */
-inline SweepResult
-sweep(const ConfigPreset &preset,
-      const std::shared_ptr<const Topology> &topo, Pattern pattern,
-      const std::vector<double> &rates, const Options &opt,
-      double latency_cap = 400.0,
-      const std::function<void(Network &)> &instrument = {})
-{
-    SweepResult res;
-    // Fold the CLI execution overrides (--seed, --threads) into the
-    // preset once; every point of the sweep runs the same config.
-    ConfigPreset p0 = preset;
-    opt.apply(p0);
-    // The --wall-limit budget covers the whole sweep, not one point: a
-    // wedged point should fail the bench, not hand the remaining rates
-    // a fresh clock.
-    WallLimitGuard wall(opt.wallLimit);
-    int past_saturation = 0;
-    for (const double rate : rates) {
-        if (past_saturation >= 2)
-            break;
-        auto net = p0.build(topo);
-        if (instrument)
-            instrument(*net);
-        {
-            char lbl[192];
-            std::snprintf(lbl, sizeof(lbl), "%s|%s|%.3f",
-                          p0.name.c_str(),
-                          toString(pattern).c_str(), rate);
-            attachMetrics(*net, opt, lbl);
-        }
-        if (opt.profile)
-            net->enableProfiler();
-        if (!opt.faultsPath.empty()) {
-            fault::FaultSchedule fs;
-            std::string ferr;
-            if (!fault::FaultSchedule::fromFile(opt.faultsPath, fs,
-                                                ferr))
-                SPIN_FATAL(ferr);
-            net->attachFaults(std::move(fs));
-        }
-        InjectorConfig icfg;
-        icfg.injectionRate = rate;
-        icfg.seed = p0.cfg.seed + 1;
-        SyntheticInjector inj(*net, pattern, icfg);
-        // --audit N: sample the runtime invariant auditor (the same
-        // oracle spin_model applies per cycle) and fail the bench fast
-        // on the first violation, leaving the report for CI artifacts.
-        const auto maybeAudit = [&]() {
-            if (opt.auditInterval == 0 ||
-                net->now() % opt.auditInterval != 0) {
-                return;
-            }
-            const AuditReport rep = auditNetwork(*net);
-            if (rep.clean())
-                return;
-            obs::JsonValue doc = rep.toJson();
-            doc.set("cycle", obs::JsonValue(net->now()));
-            const char *path = "spin-audit-violation.json";
-            std::ofstream os(path);
-            os << doc.dump(2) << '\n';
-            SPIN_FATAL("invariant audit failed at cycle ", net->now(),
-                       " (", rep.violations.size(), " violation(s): ",
-                       rep.violations.front(), "); report: ", path);
-        };
-        for (Cycle i = 0; i < opt.warmup; ++i) {
-            inj.tick();
-            net->step();
-            maybeAudit();
-            wall.check(*net);
-        }
-        net->beginMeasurement();
-        for (Cycle i = 0; i < opt.measure; ++i) {
-            inj.tick();
-            net->step();
-            maybeAudit();
-            wall.check(*net);
-        }
-        if (opt.profile)
-            profileTotals().merge(*net->profiler());
-        SweepPoint p;
-        p.rate = rate;
-        p.latency = net->stats().avgLatency();
-        p.throughput = net->stats().throughput(net->numNodes(),
-                                               net->now());
-        p.saturated = p.latency > latency_cap ||
-                      p.throughput < 0.9 * rate;
-        if (p.saturated)
-            ++past_saturation;
-        else
-            res.saturationRate = rate;
-        res.points.push_back(p);
-    }
-    return res;
-}
-
-/** Print one sweep as a table block. */
+/** Attach a Chrome trace sink for --trace; an unopenable path warns
+ *  and the run continues untraced. */
 inline void
-printSweep(const std::string &config, const std::string &pattern,
-           const SweepResult &res)
+attachTrace(Network &net, const Options &opt)
 {
-    std::printf("## %s | %s\n", config.c_str(), pattern.c_str());
-    std::printf("%10s %14s %14s %6s\n", "rate", "latency(cy)",
-                "thru(f/n/c)", "sat");
-    for (const SweepPoint &p : res.points) {
-        std::printf("%10.3f %14.2f %14.4f %6s\n", p.rate, p.latency,
-                    p.throughput, p.saturated ? "yes" : "");
-    }
-    std::printf("-> saturation throughput ~ %.3f flits/node/cycle\n\n",
-                res.saturationRate);
-}
-
-/** Geometric ladder of injection rates. */
-inline std::vector<double>
-rateLadder(double lo, double hi, int points)
-{
-    std::vector<double> rates;
-    if (points <= 1) {
-        rates.push_back(lo);
-        return rates;
-    }
-    const double step = (hi - lo) / (points - 1);
-    for (int i = 0; i < points; ++i)
-        rates.push_back(lo + step * i);
-    return rates;
-}
-
-/** JSON image of one sweep (same fields as printSweep's table). */
-inline obs::JsonValue
-sweepToJson(const SweepResult &res)
-{
-    using obs::JsonValue;
-    JsonValue o = JsonValue::object();
-    JsonValue pts = JsonValue::array();
-    for (const SweepPoint &p : res.points) {
-        JsonValue pt = JsonValue::object();
-        pt.set("rate", JsonValue(p.rate));
-        pt.set("latency", JsonValue(p.latency));
-        pt.set("throughput", JsonValue(p.throughput));
-        pt.set("saturated", JsonValue(p.saturated));
-        pts.push(std::move(pt));
-    }
-    o.set("points", std::move(pts));
-    o.set("saturationRate", JsonValue(res.saturationRate));
-    return o;
+    if (opt.tracePath.empty())
+        return;
+    if (auto sink = obs::ChromeTraceSink::open(opt.tracePath))
+        net.setTracer(std::make_unique<obs::Tracer>(std::move(sink)));
+    else
+        std::fprintf(stderr, "cannot open trace file %s\n",
+                     opt.tracePath.c_str());
 }
 
 /**
- * Attaches a Chrome trace to the *first* network it is offered (a
- * sweep builds one network per rate; tracing them all would interleave
- * runs in one file). Pass via the sweep() instrument hook:
- *
- *   TraceAttacher ta(opt.tracePath);
- *   sweep(..., opt, cap, [&](Network &n) { ta(n); });
- */
-class TraceAttacher
-{
-  public:
-    explicit TraceAttacher(std::string path) : path_(std::move(path)) {}
-
-    void
-    operator()(Network &net)
-    {
-        if (done_ || path_.empty())
-            return;
-        if (auto sink = obs::ChromeTraceSink::open(path_)) {
-            net.setTracer(std::make_unique<obs::Tracer>(std::move(sink)));
-            done_ = true;
-        } else {
-            std::fprintf(stderr, "cannot open trace file %s\n",
-                         path_.c_str());
-            path_.clear();
-        }
-    }
-
-  private:
-    std::string path_;
-    bool done_ = false;
-};
-
-/**
- * Collects every sweep (and any extra sections) of a bench run and, on
- * request, writes them as one JSON document -- the machine-readable
- * twin of the printed tables.
+ * Collects the result sections of a bench run and, on request, writes
+ * them as one JSON document -- the machine-readable twin of the printed
+ * tables.
  */
 class BenchReporter
 {
@@ -532,31 +294,12 @@ class BenchReporter
         using obs::JsonValue;
         root_.set("bench", JsonValue(bench_name));
         JsonValue o = JsonValue::object();
-        o.set("warmup", JsonValue(opt.warmup));
-        o.set("measure", JsonValue(opt.measure));
         o.set("fast", JsonValue(opt.fast));
         if (opt.seedSet)
             o.set("seed", JsonValue(opt.seed));
         if (!opt.faultsPath.empty())
             o.set("faults", JsonValue(opt.faultsPath));
         root_.set("options", std::move(o));
-        root_.set("sweeps", JsonValue::array());
-    }
-
-    /** Print the sweep table and record it for the JSON export. */
-    void
-    addSweep(const std::string &config, const std::string &pattern,
-             const SweepResult &res)
-    {
-        printSweep(config, pattern, res);
-        using obs::JsonValue;
-        JsonValue s = sweepToJson(res);
-        JsonValue entry = JsonValue::object();
-        entry.set("config", JsonValue(config));
-        entry.set("pattern", JsonValue(pattern));
-        for (auto &kv : s.members())
-            entry.set(kv.first, std::move(kv.second));
-        root_.find("sweeps")->push(std::move(entry));
     }
 
     /** Attach an arbitrary extra section (e.g. raw Stats::toJson()). */
@@ -580,16 +323,8 @@ class BenchReporter
         }
         if (opt.jsonPath.empty())
             return true;
-        std::FILE *f = std::fopen(opt.jsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         opt.jsonPath.c_str());
+        if (!exp::writeJsonFile(opt.jsonPath, root_))
             return false;
-        }
-        const std::string text = root_.dump(2);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
         std::printf("wrote %s\n", opt.jsonPath.c_str());
         return true;
     }

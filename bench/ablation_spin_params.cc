@@ -17,6 +17,7 @@
 #include "bench/BenchUtil.hh"
 #include "topology/Mesh.hh"
 #include "topology/Ring.hh"
+#include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
 using namespace spin::bench;
@@ -92,7 +93,9 @@ meshThroughput(Cycle t_dd, Cycle measure, const Options &opt)
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(argc, argv);
+    const Options opt = Options::parse(
+        argc, argv,
+        {"--fast", "--seed", "--threads", "--reliability", "--json"});
     const Cycle measure = opt.fast ? 3000 : 10000;
 
     BenchReporter report("ablation_spin_params", opt);

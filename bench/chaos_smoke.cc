@@ -24,7 +24,9 @@
 #include <utility>
 
 #include "bench/BenchUtil.hh"
+#include "fault/FaultSchedule.hh"
 #include "topology/Mesh.hh"
+#include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
 using namespace spin::bench;
@@ -66,7 +68,10 @@ struct FlowAudit
 int
 main(int argc, char **argv)
 {
-    Options opt = Options::parse(argc, argv);
+    Options opt = Options::parse(
+        argc, argv,
+        {"--fast", "--seed", "--threads", "--json", "--metrics",
+         "--metrics-interval", "--trace", "--faults", "--wall-limit"});
     // The point of the bench is the protocol; it is not optional here.
     opt.reliability = true;
 
@@ -82,8 +87,7 @@ main(int argc, char **argv)
 
     auto net = buildNetwork(topo, cfg, RoutingKind::MinimalAdaptive);
     attachMetrics(*net, opt, "chaos-smoke");
-    TraceAttacher ta(opt.tracePath);
-    ta(*net);
+    attachTrace(*net, opt);
 
     fault::FaultSchedule fs;
     std::string ferr;
@@ -112,11 +116,10 @@ main(int argc, char **argv)
             ++recovered;
     });
 
-    // Inject through the whole fault barrage, then drain. --fast
-    // shrinks the injection window but never below the last armed
-    // fault, so every arm always fires.
-    const Cycle inject =
-        std::max<Cycle>(opt.warmup + opt.measure, 1400);
+    // Inject through the whole fault barrage, then drain. Even the
+    // --fast window outlasts the last armed fault (cycle 1400), so
+    // every arm always fires.
+    const Cycle inject = opt.fast ? 1500 : 6000;
     const Cycle drainBudget = 60000;
     InjectorConfig icfg;
     icfg.injectionRate = 0.10;

@@ -16,6 +16,7 @@
 #include "deadlock/OracleDetector.hh"
 #include "topology/Dragonfly.hh"
 #include "topology/Mesh.hh"
+#include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
 using namespace spin::bench;
@@ -108,7 +109,10 @@ onsetSweep(const char *label, const std::shared_ptr<const Topology> &topo,
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(argc, argv);
+    const Options opt = Options::parse(
+        argc, argv,
+        {"--fast", "--seed", "--threads", "--reliability", "--json",
+         "--metrics", "--metrics-interval", "--profile"});
     const Cycle mesh_cycles = opt.fast ? 5000 : 20000;
     const Cycle dfly_cycles = opt.fast ? 2000 : 6000;
 

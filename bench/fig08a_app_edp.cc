@@ -78,7 +78,8 @@ runApp(const ConfigPreset &preset,
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(argc, argv);
+    const Options opt = Options::parse(
+        argc, argv, {"--fast", "--seed", "--threads", "--reliability"});
     const Cycle cycles = opt.fast ? 8000 : 30000;
     auto topo = std::make_shared<Topology>(makeMesh(8, 8));
 

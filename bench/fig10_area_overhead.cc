@@ -13,6 +13,7 @@
 
 #include <cstdio>
 
+#include "bench/BenchUtil.hh"
 #include "core/LoopBuffer.hh"
 #include "power/AreaPowerModel.hh"
 
@@ -38,8 +39,9 @@ design(int radix, int vcs, int routers, SchemeExtras extras)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Options::parse(argc, argv, {}); // --help only
     std::printf("=== Fig. 10: mesh router area, normalized to "
                 "west-first ===\n%-16s %12s %10s %10s\n", "design",
                 "area(um^2)", "norm", "overhead");

@@ -8,13 +8,14 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/BenchUtil.hh"
+#include "network/NetworkBuilder.hh"
+#include "obs/Metrics.hh"
 #include "topology/Dragonfly.hh"
 #include "topology/Mesh.hh"
 #include "topology/Torus.hh"
+#include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
-using namespace spin::bench;
 
 namespace
 {

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "bench/BenchUtil.hh"
 #include "core/Favors.hh"
 #include "routing/EscapeVc.hh"
 #include "routing/MinimalAdaptive.hh"
@@ -18,8 +19,9 @@
 using namespace spin;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Options::parse(argc, argv, {}); // --help only
     std::printf("=== Table I: comparison of deadlock freedom theories "
                 "===\n\n");
     std::printf("%-14s %-11s %-8s %-10s | %-22s %-22s %-9s\n", "theory",

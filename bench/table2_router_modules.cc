@@ -8,14 +8,16 @@
 
 #include <cstdio>
 
+#include "bench/BenchUtil.hh"
 #include "core/LoopBuffer.hh"
 #include "power/AreaPowerModel.hh"
 
 using namespace spin;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Options::parse(argc, argv, {}); // --help only
     std::printf("=== Table II: SPIN router modules ===\n\n");
     std::printf("%-14s %s\n", "FSM",
                 "manages SM traversals and correctness (core/SpinUnit, "

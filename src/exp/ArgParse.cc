@@ -1,53 +1,76 @@
 #include "exp/ArgParse.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
+#include <sstream>
 
 namespace spin::exp
 {
 
+bool
+ArgSpec::spelledAs(const std::string &spelling) const
+{
+    std::size_t begin = 0;
+    while (begin < name.size()) {
+        std::size_t end = name.find(',', begin);
+        if (end == std::string::npos)
+            end = name.size();
+        if (name.compare(begin, end - begin, spelling) == 0)
+            return true;
+        begin = name.find_first_not_of(' ', end + 1);
+    }
+    return false;
+}
+
+namespace
+{
+
 ArgSpec
-argU64(const char *name, std::uint64_t *dst, bool *seen)
+makeSpec(const char *name, ArgSpec::Kind kind, const char *help,
+         const char *meta)
 {
     ArgSpec s;
     s.name = name;
-    s.kind = ArgSpec::Kind::U64;
+    s.kind = kind;
+    s.help = help;
+    s.meta = meta;
+    return s;
+}
+
+} // namespace
+
+ArgSpec
+argU64(const char *name, std::uint64_t *dst, const char *help, bool *seen)
+{
+    ArgSpec s = makeSpec(name, ArgSpec::Kind::U64, help, "N");
     s.u64 = dst;
     s.seen = seen;
     return s;
 }
 
 ArgSpec
-argF64(const char *name, double *dst, bool *seen)
+argF64(const char *name, double *dst, const char *help)
 {
-    ArgSpec s;
-    s.name = name;
-    s.kind = ArgSpec::Kind::F64;
+    ArgSpec s = makeSpec(name, ArgSpec::Kind::F64, help, "X");
     s.f64 = dst;
-    s.seen = seen;
     return s;
 }
 
 ArgSpec
-argStr(const char *name, std::string *dst, bool *seen)
+argStr(const char *name, std::string *dst, const char *help,
+       const char *meta)
 {
-    ArgSpec s;
-    s.name = name;
-    s.kind = ArgSpec::Kind::Str;
+    ArgSpec s = makeSpec(name, ArgSpec::Kind::Str, help, meta);
     s.str = dst;
-    s.seen = seen;
     return s;
 }
 
 ArgSpec
-argFlag(const char *name, bool *dst, bool *seen)
+argFlag(const char *name, bool *dst, const char *help)
 {
-    ArgSpec s;
-    s.name = name;
-    s.kind = ArgSpec::Kind::Flag;
+    ArgSpec s = makeSpec(name, ArgSpec::Kind::Flag, help, "");
     s.flag = dst;
-    s.seen = seen;
     return s;
 }
 
@@ -133,7 +156,7 @@ parseArgs(int argc, char **argv, const std::vector<ArgSpec> &specs,
 
         const ArgSpec *spec = nullptr;
         for (const ArgSpec &s : specs) {
-            if (s.name == name) {
+            if (s.spelledAs(name)) {
                 spec = &s;
                 break;
             }
@@ -142,7 +165,7 @@ parseArgs(int argc, char **argv, const std::vector<ArgSpec> &specs,
         if (!spec && !hasInline && name.size() > 2 && name[1] != '-') {
             const std::string shortName = name.substr(0, 2);
             for (const ArgSpec &s : specs) {
-                if (s.name == shortName &&
+                if (s.spelledAs(shortName) &&
                     s.kind != ArgSpec::Kind::Flag) {
                     spec = &s;
                     name = shortName;
@@ -192,6 +215,51 @@ parseArgs(int argc, char **argv, const std::vector<ArgSpec> &specs,
             return false;
     }
     return true;
+}
+
+std::string
+usage(const std::vector<ArgSpec> &specs)
+{
+    // Help text starts in one column for every row, wide enough for the
+    // longest head up to kMaxHead; a longer head gets a line of its own.
+    constexpr std::size_t kMaxHead = 24, kWidth = 78;
+    std::vector<std::string> heads;
+    std::size_t col = 0;
+    for (const ArgSpec &s : specs) {
+        std::string head = "  " + s.name;
+        if (!s.meta.empty())
+            head += " " + s.meta;
+        col = std::max(col, std::min(head.size() + 2, kMaxHead));
+        heads.push_back(std::move(head));
+    }
+
+    std::string out = "options:\n";
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        std::string line = std::move(heads[i]);
+        if (line.size() + 2 > col) {
+            out += line + "\n";
+            line.clear();
+        }
+        line.resize(col, ' ');
+        std::istringstream words(specs[i].help);
+        std::string word;
+        bool lineEmpty = true;
+        while (words >> word) {
+            if (!lineEmpty && line.size() + 1 + word.size() > kWidth) {
+                out += line + "\n";
+                line.assign(col, ' ');
+                lineEmpty = true;
+            }
+            if (!lineEmpty)
+                line += ' ';
+            line += word;
+            lineEmpty = false;
+        }
+        while (!line.empty() && line.back() == ' ')
+            line.pop_back();
+        out += line + "\n";
+    }
+    return out;
 }
 
 } // namespace spin::exp

@@ -7,10 +7,13 @@
  *  - unknown `--flags` are fatal, anywhere on the line;
  *  - bare positional arguments are fatal (no tool here takes any);
  *  - a flag that needs a value never silently swallows the next flag
- *    (`--warmup --fast` is an error, not warmup=0 plus a lost --fast);
- *  - numeric values are validated end-to-end (`--warmup 10x` is an
+ *    (`--seed --fast` is an error, not seed=0 plus a lost --fast);
+ *  - numeric values are validated end-to-end (`--seed 10x` is an
  *    error, not 10);
- *  - `--name value` and `--name=value` are both accepted.
+ *  - `--name value` and `--name=value` are both accepted;
+ *  - the usage text is generated from the same rows (usage()), so a
+ *    flag cannot be parsed without being listed or listed without
+ *    being parsed.
  *
  * Parsing never exits or throws; callers print `err` with their usage
  * text and choose the exit code.
@@ -26,7 +29,7 @@
 namespace spin::exp
 {
 
-/** One accepted flag and where its value lands. */
+/** One accepted flag, its usage line, and where its value lands. */
 struct ArgSpec
 {
     enum class Kind : std::uint8_t
@@ -37,8 +40,12 @@ struct ArgSpec
         Flag, //!< boolean, no value
     };
 
-    std::string name; //!< including the leading "--"
+    /** Every spelling, comma-separated, as the usage shows them:
+     *  "--fast", or "-j, --jobs" for a short alias. */
+    std::string name;
     Kind kind = Kind::Flag;
+    std::string help; //!< one-line description (wrapped by usage())
+    std::string meta; //!< value placeholder in the usage ("N", "PATH")
 
     std::uint64_t *u64 = nullptr;
     double *f64 = nullptr;
@@ -46,14 +53,19 @@ struct ArgSpec
     bool *flag = nullptr;
     /** Optional: set true when the flag appeared. */
     bool *seen = nullptr;
+
+    /** True when @p spelling is one of the comma-separated names. */
+    bool spelledAs(const std::string &spelling) const;
 };
 
 /// @name Spec constructors
 /// @{
-ArgSpec argU64(const char *name, std::uint64_t *dst, bool *seen = nullptr);
-ArgSpec argF64(const char *name, double *dst, bool *seen = nullptr);
-ArgSpec argStr(const char *name, std::string *dst, bool *seen = nullptr);
-ArgSpec argFlag(const char *name, bool *dst, bool *seen = nullptr);
+ArgSpec argU64(const char *name, std::uint64_t *dst, const char *help = "",
+               bool *seen = nullptr);
+ArgSpec argF64(const char *name, double *dst, const char *help = "");
+ArgSpec argStr(const char *name, std::string *dst, const char *help = "",
+               const char *meta = "PATH");
+ArgSpec argFlag(const char *name, bool *dst, const char *help = "");
 /// @}
 
 /** Strict full-string unsigned parse (no trailing garbage, no sign). */
@@ -68,6 +80,10 @@ bool parseF64(const std::string &text, double &out);
  */
 bool parseArgs(int argc, char **argv, const std::vector<ArgSpec> &specs,
                std::string &err);
+
+/** "options:" followed by one aligned, word-wrapped entry per row of
+ *  @p specs, in order. */
+std::string usage(const std::vector<ArgSpec> &specs);
 
 } // namespace spin::exp
 

@@ -534,8 +534,8 @@ Campaign::run()
     root.set("cells", std::move(cellArr));
 
     // One series per (preset, pattern, seed): the latency/throughput
-    // curve plus its estimated saturation rate, mirroring
-    // bench::SweepResult so figure tables can be printed from this.
+    // curve plus its estimated saturation rate, which the figure
+    // tables in exp/Report print.
     JsonValue series = JsonValue::array();
     for (const std::string &preset : spec_.presets) {
         for (const Pattern pattern : spec_.patterns) {

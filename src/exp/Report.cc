@@ -32,6 +32,7 @@ printSeries(const obs::JsonValue &results)
         std::printf("-> saturation throughput ~ %.3f flits/node/cycle\n\n",
                     s["saturationRate"].asNumber());
     }
+    std::printf("\n");
 }
 
 void
@@ -47,13 +48,15 @@ printSaturationSummary(const obs::JsonValue &results)
                     s["pattern"].asString().c_str(),
                     s["saturationRate"].asNumber());
     }
+    std::printf("\n");
 }
 
 void
 printLinkUtilization(const obs::JsonValue &results)
 {
-    std::printf("%-24s %8s %10s %10s %10s %10s %10s\n", "config", "rate",
-                "flit%", "probe%", "move%", "sm-total%", "idle%");
+    std::printf("=== Link-cycle utilization ===\n%-24s %-16s %8s %8s %8s "
+                "%8s %10s %8s\n", "config", "pattern", "rate", "flit%",
+                "probe%", "move%", "sm-total%", "idle%");
     const obs::JsonValue &cells = results["cells"];
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const obs::JsonValue &c = cells.at(i);
@@ -65,17 +68,20 @@ printLinkUtilization(const obs::JsonValue &results)
         const double probe = u["probeCycles"].asNumber() / total;
         const double move = u["moveCycles"].asNumber() / total;
         const double idle = u["idleCycles"].asNumber() / total;
-        std::printf("%-24s %8.2f %10.2f %10.2f %10.2f %10.2f %10.2f\n",
-                    c["preset"].asString().c_str(), c["rate"].asNumber(),
+        std::printf("%-24s %-16s %8.2f %8.2f %8.2f %8.2f %10.2f %8.2f\n",
+                    c["preset"].asString().c_str(),
+                    c["pattern"].asString().c_str(), c["rate"].asNumber(),
                     100 * flit, 100 * probe, 100 * move,
                     100 * (probe + move), 100 * idle);
     }
+    std::printf("\n");
 }
 
 void
 printSpinCounts(const obs::JsonValue &results)
 {
     const obs::JsonValue &cells = results["cells"];
+    std::printf("=== Spins and false positives ===\n");
     std::string group;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const obs::JsonValue &c = cells.at(i);

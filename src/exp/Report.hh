@@ -3,10 +3,9 @@
  * Console reports over aggregated campaign results.
  *
  * Every printer consumes the spin-sweep/v1 results document produced by
- * Campaign::run() (see docs/SWEEP.md) so the sweep runner and the
- * figure wrappers in bench/ share one presentation layer: spin_sweep
- * prints the latency series for any spec, and each figure binary picks
- * the table that matches its paper artifact.
+ * Campaign::run() (see docs/SWEEP.md). spin_sweep prints all of them
+ * for any spec, which covers the paper's Figs. 6, 7 (latency series and
+ * saturation summary), 8b (link utilization) and 9 (spin counts).
  */
 
 #ifndef SPINNOC_EXP_REPORT_HH
@@ -24,7 +23,7 @@ void printSeries(const obs::JsonValue &results);
 
 /**
  * Saturation-throughput summary: one `config pattern sat` row per
- * series, the closing table of the latency figure benches.
+ * series (the Figs. 6/7 comparison).
  */
 void printSaturationSummary(const obs::JsonValue &results);
 

@@ -9,9 +9,8 @@
  * over one topology: every combination is one *cell*, an independent
  * single-network simulation with its own deterministically derived RNG
  * seed. Specs are JSON documents (grammar in docs/SWEEP.md); the
- * paper's figure sweeps ship as built-in specs so
- * `spin_sweep --spec fig07` and `bench/fig07_mesh_perf` are the same
- * campaign.
+ * paper's figure sweeps ship as built-in specs, so
+ * `spin_sweep --spec fig07` regenerates Fig. 7.
  *
  * Determinism contract: a cell's seed depends only on the cell's
  * coordinates (preset name, pattern, rate, seed-list entry) and the

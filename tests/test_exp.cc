@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -216,23 +217,23 @@ TEST(ArgParseTest, ParsesAllValueForms)
     std::string out;
     bool flag = false, seen = false;
     const std::vector<ArgSpec> specs = {
-        argU64("-j", &jobs),
-        argU64("--jobs", &jobs, &seen),
+        argU64("-j, --jobs", &jobs, "workers", &seen),
         argF64("--rate", &rate),
         argStr("--out", &out),
         argFlag("--fast", &flag),
     };
     std::string err;
+    EXPECT_TRUE(runParse({"--rate", "0.25", "--out", "x.json", "--fast"},
+                         specs, err))
+        << err;
+    EXPECT_FALSE(seen);
     EXPECT_TRUE(runParse({"-j4"}, specs, err)) << err; // attached short
     EXPECT_EQ(jobs, 4u);
-    EXPECT_FALSE(seen);
+    EXPECT_TRUE(seen);
     EXPECT_TRUE(runParse({"--jobs=8"}, specs, err)) << err; // --name=v
     EXPECT_EQ(jobs, 8u);
-    EXPECT_TRUE(seen);
-    EXPECT_TRUE(
-        runParse({"--rate", "0.25", "--out", "x.json", "--fast"}, specs,
-                 err))
-        << err;
+    EXPECT_TRUE(runParse({"-j", "2"}, specs, err)) << err; // alias
+    EXPECT_EQ(jobs, 2u);
     EXPECT_DOUBLE_EQ(rate, 0.25);
     EXPECT_EQ(out, "x.json");
     EXPECT_TRUE(flag);
@@ -256,6 +257,44 @@ TEST(ArgParseTest, FailsLoudly)
     EXPECT_FALSE(runParse({"--n", "-3"}, specs, err));  // negative
     EXPECT_FALSE(runParse({"--fast=1"}, specs, err));   // flag w/ value
     EXPECT_FALSE(runParse({"positional"}, specs, err));
+    EXPECT_FALSE(runParse({"-n"}, specs, err)); // no such alias
+}
+
+TEST(ArgParseTest, UsageAlignsAndWrapsEveryRow)
+{
+    std::uint64_t n = 0;
+    std::string path;
+    bool flag = false;
+    const std::vector<ArgSpec> specs = {
+        argU64("-n, --count", &n, "how many"),
+        argStr("--out", &path, "where the results go", "DIR"),
+        argFlag("--fast", &flag,
+                "a help text long enough that it cannot fit on one line "
+                "of the generated usage and has to wrap onto the next"),
+    };
+    const std::string text = usage(specs);
+    EXPECT_EQ(text.rfind("options:\n", 0), 0u) << text;
+    EXPECT_NE(text.find("  -n, --count N"), std::string::npos) << text;
+    EXPECT_NE(text.find("  --out DIR"), std::string::npos) << text;
+
+    // Every line fits, and every help text starts in the same column.
+    std::istringstream lines(text);
+    std::string line;
+    std::size_t helpCol = 0;
+    int rows = 0;
+    while (std::getline(lines, line)) {
+        EXPECT_LE(line.size(), 78u) << line;
+        if (line.rfind("  -", 0) != 0)
+            continue;
+        ++rows;
+        const std::size_t col =
+            line.find_first_not_of(' ', line.find("  ", 2));
+        if (helpCol == 0)
+            helpCol = col;
+        EXPECT_EQ(col, helpCol) << line;
+    }
+    EXPECT_EQ(rows, 3);
+    EXPECT_NE(text.find("has to wrap"), std::string::npos) << text;
 }
 
 // ---------------------------------------------------------------------

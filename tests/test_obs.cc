@@ -518,66 +518,52 @@ TEST(Telemetry, DumpParsesAndMatchesLiveState)
 // Bench harness: JSON export and option parsing
 // ---------------------------------------------------------------------
 
-TEST(BenchJson, SweepExportMatchesSweepResult)
-{
-    bench::Options opt;
-    opt.warmup = 200;
-    opt.measure = 400;
-    auto topo = std::make_shared<Topology>(makeMesh(4, 4));
-    const ConfigPreset preset = meshPresets3Vc()[0];
-    const bench::SweepResult res = bench::sweep(
-        preset, topo, Pattern::UniformRandom, {0.05, 0.1}, opt);
-    ASSERT_EQ(res.points.size(), 2u);
-
-    std::string err;
-    const JsonValue j =
-        JsonValue::parse(bench::sweepToJson(res).dump(2), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    const JsonValue &pts = j["points"];
-    ASSERT_EQ(pts.size(), res.points.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        EXPECT_EQ(pts.at(i)["rate"].asNumber(), res.points[i].rate);
-        EXPECT_EQ(pts.at(i)["latency"].asNumber(),
-                  res.points[i].latency);
-        EXPECT_EQ(pts.at(i)["throughput"].asNumber(),
-                  res.points[i].throughput);
-        EXPECT_EQ(pts.at(i)["saturated"].asBool(),
-                  res.points[i].saturated);
-    }
-    EXPECT_EQ(j["saturationRate"].asNumber(), res.saturationRate);
-    EXPECT_GT(res.points[0].throughput, 0.0);
-}
-
 TEST(BenchJson, ReporterCollectsSweepsUnderRoot)
 {
     bench::Options opt;
+    opt.seed = 7;
+    opt.seedSet = true;
     bench::BenchReporter report("unit_test_bench", opt);
-    bench::SweepResult res;
-    res.points.push_back({0.1, 20.0, 0.099, false});
-    res.saturationRate = 0.1;
-    report.addSweep("cfgA", "uniform", res);
+    JsonValue row = JsonValue::object();
+    row.set("rate", JsonValue(0.1));
+    row.set("onsetRate", JsonValue(0.45));
+    JsonValue rows = JsonValue::array();
+    rows.push(std::move(row));
+    report.add("onsetSweep", std::move(rows));
 
     std::string err;
     const JsonValue j = JsonValue::parse(report.root().dump(2), &err);
     ASSERT_TRUE(err.empty()) << err;
     EXPECT_EQ(j["bench"].asString(), "unit_test_bench");
-    ASSERT_EQ(j["sweeps"].size(), 1u);
-    EXPECT_EQ(j["sweeps"].at(0)["config"].asString(), "cfgA");
-    EXPECT_EQ(j["sweeps"].at(0)["pattern"].asString(), "uniform");
-    EXPECT_EQ(j["sweeps"].at(0)["points"].size(), 1u);
+    EXPECT_FALSE(j["options"]["fast"].asBool());
+    EXPECT_EQ(j["options"]["seed"].asU64(), 7u);
+    ASSERT_EQ(j["onsetSweep"].size(), 1u);
+    EXPECT_EQ(j["onsetSweep"].at(0)["rate"].asNumber(), 0.1);
+    EXPECT_EQ(j["onsetSweep"].at(0)["onsetRate"].asNumber(), 0.45);
 }
 
 namespace
 {
 
+/** Every row name of the bench flag table. */
+std::vector<std::string>
+allBenchFlags()
+{
+    std::vector<std::string> names;
+    for (const exp::ArgSpec &spec : bench::Options().flags())
+        names.push_back(spec.name);
+    return names;
+}
+
 bench::Options
-parseArgs(std::vector<const char *> argv, bool &ok, std::string &err)
+parseArgs(std::vector<const char *> argv, bool &ok, std::string &err,
+          const std::vector<std::string> &accepted = allBenchFlags())
 {
     argv.insert(argv.begin(), "bench");
     bench::Options o;
     ok = bench::Options::parseInto(
         o, static_cast<int>(argv.size()),
-        const_cast<char **>(argv.data()), err);
+        const_cast<char **>(argv.data()), accepted, err);
     return o;
 }
 
@@ -592,13 +578,26 @@ TEST(BenchOptions, RejectsUnknownFlag)
     EXPECT_NE(err.find("--bogus"), std::string::npos);
 }
 
+TEST(BenchOptions, RejectsFlagTheBenchDoesNotRead)
+{
+    bool ok = true;
+    std::string err;
+    parseArgs({"--fast", "--json", "x.json"}, ok, err,
+              {"--fast", "--seed"});
+    EXPECT_FALSE(ok);
+    EXPECT_NE(err.find("--json"), std::string::npos) << err;
+
+    parseArgs({"--fast", "--seed", "3"}, ok, err, {"--fast", "--seed"});
+    EXPECT_TRUE(ok) << err;
+}
+
 TEST(BenchOptions, RejectsMissingValue)
 {
     bool ok = true;
     std::string err;
-    parseArgs({"--warmup"}, ok, err);
+    parseArgs({"--seed"}, ok, err);
     EXPECT_FALSE(ok);
-    EXPECT_NE(err.find("--warmup"), std::string::npos);
+    EXPECT_NE(err.find("--seed"), std::string::npos);
 }
 
 TEST(BenchOptions, ParsesAllFlags)
@@ -606,36 +605,73 @@ TEST(BenchOptions, ParsesAllFlags)
     bool ok = false;
     std::string err;
     const bench::Options o = parseArgs(
-        {"--warmup", "100", "--measure", "300", "--seed", "77", "--json",
-         "out.json", "--trace", "t.json"},
+        {"--fast", "--seed", "77", "--threads", "4", "--reliability",
+         "--json", "out.json", "--metrics", "m.jsonl",
+         "--metrics-interval", "128", "--profile", "--trace", "t.json",
+         "--faults", "f.json", "--wall-limit", "9"},
         ok, err);
     ASSERT_TRUE(ok) << err;
-    EXPECT_EQ(o.warmup, 100u);
-    EXPECT_EQ(o.measure, 300u);
+    EXPECT_TRUE(o.fast);
     EXPECT_TRUE(o.seedSet);
     EXPECT_EQ(o.seed, 77u);
+    EXPECT_EQ(o.threads, 4u);
+    EXPECT_TRUE(o.reliability);
     EXPECT_EQ(o.jsonPath, "out.json");
+    EXPECT_EQ(o.metricsPath, "m.jsonl");
+    EXPECT_EQ(o.metricsInterval, 128u);
+    EXPECT_TRUE(o.profile);
     EXPECT_EQ(o.tracePath, "t.json");
+    EXPECT_EQ(o.faultsPath, "f.json");
+    EXPECT_EQ(o.wallLimit, 9u);
 }
 
-TEST(BenchOptions, FastQuartersWindowsAndSeedAppliesToPreset)
+TEST(BenchOptions, SeedAndReliabilityApplyToPreset)
 {
     bool ok = false;
     std::string err;
     const bench::Options o =
-        parseArgs({"--fast", "--seed", "5"}, ok, err);
+        parseArgs({"--seed", "5", "--reliability"}, ok, err);
     ASSERT_TRUE(ok) << err;
-    EXPECT_EQ(o.warmup, 500u);
-    EXPECT_EQ(o.measure, 1000u);
 
     ConfigPreset p = meshPresets3Vc()[0];
     o.apply(p);
     EXPECT_EQ(p.cfg.seed, 5u);
+    EXPECT_TRUE(p.cfg.reliability.enabled);
+    EXPECT_EQ(p.cfg.reliability.ackTimeout,
+              ReliabilityConfig{}.ackTimeout); // knobs keep defaults
 
     bench::Options no_seed;
+    p = meshPresets3Vc()[0];
     p.cfg.seed = 99;
     no_seed.apply(p);
     EXPECT_EQ(p.cfg.seed, 99u); // no --seed: preset untouched
+    EXPECT_FALSE(p.cfg.reliability.enabled);
+}
+
+TEST(BenchOptions, UsageListsEveryFlagOnce)
+{
+    bench::Options o;
+    const std::vector<exp::ArgSpec> flags = o.flags();
+    const std::string text = exp::usage(flags);
+    for (const exp::ArgSpec &spec : flags) {
+        // A row starts its line: two spaces, the name, then the value
+        // placeholder or the padding.
+        int rows = 0;
+        std::istringstream lines(text);
+        std::string line;
+        while (std::getline(lines, line)) {
+            if (line.rfind("  " + spec.name + " ", 0) == 0)
+                ++rows;
+        }
+        EXPECT_EQ(rows, 1) << spec.name << " in\n" << text;
+    }
+    // ...and nothing else does: help continuation lines are indented.
+    std::size_t heads = 0;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line))
+        heads += line.rfind("  -", 0) == 0 ? 1 : 0;
+    EXPECT_EQ(heads, flags.size()) << text;
 }
 
 // ---------------------------------------------------------------------

@@ -4,10 +4,10 @@
 Two gates, both against the working tree — no build needed:
 
 1. **Flag coverage** — every CLI flag a bench or tool actually parses
-   (the quoted ``--flag`` strings in its ``ArgSpec`` definitions /
-   usage text) must appear in that binary's documentation page(s). A
-   flag added to the code without a docs mention, or a flag renamed in
-   code but not in docs, fails here. The source → page mapping lives
+   (the quoted ``--flag`` names in its ``ArgSpec`` rows) must appear
+   in that binary's documentation page(s). A flag added to the code
+   without a docs mention, or a flag renamed in code but not in docs,
+   fails here. The source → page mapping lives
    in ``FLAG_TARGETS`` below; extend it when adding a new CLI surface.
 
 2. **Link integrity** — every intra-repo markdown link
@@ -40,13 +40,9 @@ FLAG_TARGETS = [
      ["docs/VERIFICATION.md"], GENERIC),
     ("tools/spin_model.cc",
      ["docs/VERIFICATION.md"], GENERIC),
-    # The classic bench CLI (tables, fig03, fig08a, fig10, ablations,
-    # micro_*) is defined once in BenchUtil.hh; the campaign bench CLI
-    # (fig06/07/08b/09) once in CampaignBench.hh. Both are documented
-    # in the regeneration guide.
+    # Every bench flag is one row of bench::Options::flags() in
+    # BenchUtil.hh, documented in the regeneration guide.
     ("bench/BenchUtil.hh",
-     ["EXPERIMENTS.md", "README.md"], GENERIC),
-    ("bench/CampaignBench.hh",
      ["EXPERIMENTS.md", "README.md"], GENERIC),
 ]
 
@@ -54,11 +50,12 @@ FLAG_TARGETS = [
 # and under docs/.
 LINK_DIRS = [".", "docs"]
 
-# "--flag" inside a C string literal: ArgSpec definitions quote the
-# flag exactly ('argU64("--warmup", ...)'), and usage()-text mentions
-# are a superset of those, so quoted occurrences are precise — prose
-# em-dashes ("a -- b") never match.
-FLAG_RE = re.compile(r'"(--[a-z][a-z0-9-]*)')
+# "--flag" opening a C string literal, after an optional short alias:
+# ArgSpec rows quote their names exactly ('argU64("--seed", ...)',
+# 'argU64("-j, --jobs", ...)'), so quoted occurrences are precise —
+# prose em-dashes ("a -- b") and flags mentioned inside help text never
+# match.
+FLAG_RE = re.compile(r'"(?:-[a-zA-Z], )?(--[a-z][a-z0-9-]*)')
 
 # [text](target) markdown links, ignoring images' leading '!' (still a
 # path worth checking) and fenced ``` blocks handled by the caller.

@@ -5,8 +5,8 @@ Inputs (all optional, at least one required):
 
 * ``--metrics m.jsonl``  -- a spin-metrics/v2 stream (bench --metrics or
   spin_sweep --metrics): windowed time series per cell.
-* ``--sweep results.json`` -- a spin-sweep/v1 (or spin-sweep-multi/v1)
-  aggregate: campaign heatmaps over the preset x pattern x rate grid.
+* ``--sweep results.json`` -- a spin-sweep/v1 aggregate: campaign
+  heatmaps over the preset x pattern x rate grid.
 * ``--stats s.json``  -- any bench/telemetry JSON; scanned recursively
   for deadlock forensics snapshots and applied fault events, which
   become chart markers (single-cell metrics) or an event table.
@@ -17,7 +17,8 @@ crosshair + tooltip, keyboard navigation, and a table-view twin.
 
 Typical use:
 
-    build/bench/fig07_mesh_perf --metrics m.jsonl --json s.json --fast
+    build/tools/spin_sweep --spec fig07 --fast --no-cells \
+        --metrics m.jsonl --json s.json
     tools/spin_report.py --metrics m.jsonl --sweep s.json -o report.html
 """
 
@@ -28,7 +29,7 @@ import math
 import sys
 
 SCHEMA_METRICS = "spin-metrics/v2"
-SCHEMA_SWEEP = ("spin-sweep/v1", "spin-sweep-multi/v1")
+SCHEMA_SWEEP = "spin-sweep/v1"
 
 # Categorical slots (validated order; light / dark steps per mode).
 # Aqua and yellow sit below 3:1 on the light surface, so every chart
@@ -745,8 +746,7 @@ def main():
         description="Render SPIN metrics/sweep/forensics data as a "
                     "self-contained HTML report.")
     ap.add_argument("--metrics", help="spin-metrics/v2 JSONL")
-    ap.add_argument("--sweep", help="spin-sweep/v1 (or -multi/v1) "
-                                    "results JSON")
+    ap.add_argument("--sweep", help="spin-sweep/v1 results JSON")
     ap.add_argument("--stats", help="bench/telemetry JSON scanned for "
                                     "forensics + fault events")
     ap.add_argument("-o", "--out", default="spin-report.html",
@@ -787,13 +787,10 @@ def main():
     if args.sweep:
         doc = load_json(args.sweep, "--sweep")
         schema = doc.get("schema")
-        if schema not in SCHEMA_SWEEP:
+        if schema != SCHEMA_SWEEP:
             sys.exit(f"spin_report: {args.sweep}: schema {schema!r}, "
-                     f"want one of {SCHEMA_SWEEP}")
-        docs = doc.get("campaigns", []) \
-            if schema == "spin-sweep-multi/v1" else [doc]
-        for d in docs:
-            body.append(sweep_heatmaps(d))
+                     f"want {SCHEMA_SWEEP!r}")
+        body.append(sweep_heatmaps(doc))
 
     body.append(event_table(deadlocks, faults))
 

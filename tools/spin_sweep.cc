@@ -4,10 +4,13 @@
  *
  * Runs a declarative sweep spec (built-in figure specs or a JSON file;
  * grammar in docs/SWEEP.md) across a worker pool, one independent
- * Network per cell, and writes the aggregated results JSON. The
- * aggregate is bit-identical for any -j; wall-clock performance is
- * reported separately (stdout and, with --bench-json, as the
- * BENCH_sweep.json baseline record CI gates against).
+ * Network per cell, and writes the aggregated results JSON. This is the
+ * front-end for the paper's campaign figures (6, 7, 8b, 9): it prints
+ * every spec's latency series, saturation summary, link-utilization
+ * breakdown and spin counts. The aggregate is bit-identical for any -j;
+ * wall-clock performance is reported separately (stdout and, with
+ * --bench-json, as the BENCH_sweep.json baseline record CI gates
+ * against).
  *
  *   spin_sweep --spec fig07 -j4 --out sweep-out/fig07
  *   spin_sweep --spec ci-smoke -j2 --json results.json --resume
@@ -15,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,51 +34,6 @@ using namespace spin::exp;
 
 namespace
 {
-
-const char *
-usage()
-{
-    return "usage: spin_sweep --spec NAME|FILE [options]\n"
-           "options:\n"
-           "  --spec NAME|FILE   built-in spec name or JSON spec file\n"
-           "  -j, --jobs N       worker threads, one cell each\n"
-           "                     (default 1)\n"
-           "  -t, --threads N    threads inside each cell's simulation\n"
-           "                     (default 1; results bit-identical for\n"
-           "                     any value, docs/SCALING.md)\n"
-           "  --out DIR          per-cell result dir (default\n"
-           "                     sweep-out/<spec>); enables resume\n"
-           "  --no-cells         do not write per-cell files\n"
-           "  --resume           reuse finished cells from --out\n"
-           "  --json PATH        aggregated results JSON (default\n"
-           "                     <out>/results.json)\n"
-           "  --bench-json PATH  write the perf/baseline record\n"
-           "                     (BENCH_sweep.json format)\n"
-           "  --warmup N         override the spec's warmup window\n"
-           "  --measure N        override the spec's measure window\n"
-           "  --fast             quarter-scale warmup/measure\n"
-           "  --faults PATH      inject a spin-faults/v2 schedule into\n"
-           "                     every cell (docs/FAULTS.md)\n"
-           "  --metrics PATH     combined spin-metrics/v2 JSONL of every\n"
-           "                     simulated cell (docs/OBSERVABILITY.md)\n"
-           "  --metrics-interval N  metrics window in cycles (default\n"
-           "                     256)\n"
-           "  --audit N          run the invariant auditor every N\n"
-           "                     cycles in every cell; fail fast with a\n"
-           "                     spin-audit/v1 report on violation\n"
-           "  --profile          per-phase wall-clock attribution\n"
-           "  --reliability      run every cell with end-to-end\n"
-           "                     reliable delivery on (docs/FAULTS.md)\n"
-           "  --wall-limit N     per-cell wall-clock budget in seconds;\n"
-           "                     overruns dump telemetry and fail fast\n"
-           "                     (0 = off)\n"
-           "  --live             single-line progress meter on stderr\n"
-           "                     (auto when stderr is a TTY)\n"
-           "  --progress         per-cell progress on stderr\n"
-           "  --cells            print the cell expansion and exit\n"
-           "  --list             list built-in specs and presets\n"
-           "  --help             this message\n";
-}
 
 void
 listBuiltins()
@@ -149,40 +106,65 @@ main(int argc, char **argv)
     std::uint64_t wallLimit = 0;
 
     const std::vector<ArgSpec> specs = {
-        argStr("--spec", &specArg),
-        argU64("-j", &jobs),
-        argU64("--jobs", &jobs),
-        argU64("-t", &threads),
-        argU64("--threads", &threads),
-        argStr("--out", &outDir),
-        argFlag("--no-cells", &noCells),
-        argFlag("--resume", &resume),
-        argStr("--json", &jsonPath),
-        argStr("--bench-json", &benchJsonPath),
-        argU64("--warmup", &warmup, &warmupSet),
-        argU64("--measure", &measure, &measureSet),
-        argFlag("--fast", &fast),
-        argStr("--faults", &faultsPath),
-        argStr("--metrics", &metricsPath),
-        argU64("--metrics-interval", &metricsInterval),
-        argU64("--audit", &auditInterval),
-        argFlag("--profile", &profile),
-        argFlag("--reliability", &reliability),
-        argU64("--wall-limit", &wallLimit),
-        argFlag("--live", &live),
-        argFlag("--progress", &progress),
-        argFlag("--cells", &printCells),
-        argFlag("--list", &list),
-        argFlag("--help", &help),
-        argFlag("-h", &help),
+        argStr("--spec", &specArg, "built-in spec name or JSON spec file",
+               "NAME|FILE"),
+        argU64("-j, --jobs", &jobs,
+               "worker threads, one cell each (default 1)"),
+        argU64("-t, --threads", &threads,
+               "threads inside each cell's simulation (default 1; results "
+               "bit-identical for any value, docs/SCALING.md)"),
+        argStr("--out", &outDir,
+               "per-cell result dir (default sweep-out/<spec>); enables "
+               "resume",
+               "DIR"),
+        argFlag("--no-cells", &noCells, "do not write per-cell files"),
+        argFlag("--resume", &resume, "reuse finished cells from the out dir"),
+        argStr("--json", &jsonPath,
+               "aggregated results JSON (default <out>/results.json)"),
+        argStr("--bench-json", &benchJsonPath,
+               "write the perf/baseline record (BENCH_sweep.json format)"),
+        argU64("--warmup", &warmup, "override the spec's warmup window",
+               &warmupSet),
+        argU64("--measure", &measure, "override the spec's measure window",
+               &measureSet),
+        argFlag("--fast", &fast, "quarter-scale warmup/measure"),
+        argStr("--faults", &faultsPath,
+               "inject a spin-faults/v2 schedule into every cell "
+               "(docs/FAULTS.md)"),
+        argStr("--metrics", &metricsPath,
+               "combined spin-metrics/v2 JSONL of every simulated cell "
+               "(docs/OBSERVABILITY.md)"),
+        argU64("--metrics-interval", &metricsInterval,
+               "metrics window in cycles (default 256)"),
+        argU64("--audit", &auditInterval,
+               "run the invariant auditor every N cycles in every cell; "
+               "fail fast with a spin-audit/v1 report on violation"),
+        argFlag("--profile", &profile, "per-phase wall-clock attribution"),
+        argFlag("--reliability", &reliability,
+                "run every cell with end-to-end reliable delivery on "
+                "(docs/FAULTS.md)"),
+        argU64("--wall-limit", &wallLimit,
+               "per-cell wall-clock budget in seconds; overruns dump "
+               "telemetry and fail fast (0 = off)"),
+        argFlag("--live", &live,
+                "single-line progress meter on stderr (auto when stderr "
+                "is a TTY)"),
+        argFlag("--progress", &progress, "per-cell progress on stderr"),
+        argFlag("--cells", &printCells,
+                "print the cell expansion and exit"),
+        argFlag("--list", &list, "list built-in specs and presets"),
+        argFlag("-h, --help", &help, "this message"),
     };
+    const std::string usageText =
+        "usage: spin_sweep --spec NAME|FILE [options]\n" + usage(specs);
     std::string err;
     if (!parseArgs(argc, argv, specs, err)) {
-        std::fprintf(stderr, "spin_sweep: %s\n%s", err.c_str(), usage());
+        std::fprintf(stderr, "spin_sweep: %s\n%s", err.c_str(),
+                     usageText.c_str());
         return 2;
     }
     if (help) {
-        std::printf("%s", usage());
+        std::printf("%s", usageText.c_str());
         return 0;
     }
     if (list) {
@@ -191,7 +173,7 @@ main(int argc, char **argv)
     }
     if (specArg.empty()) {
         std::fprintf(stderr, "spin_sweep: --spec is required\n%s",
-                     usage());
+                     usageText.c_str());
         return 2;
     }
 
@@ -262,6 +244,9 @@ main(int argc, char **argv)
         return 1;
     }
     printSeries(results);
+    printSaturationSummary(results);
+    printLinkUtilization(results);
+    printSpinCounts(results);
 
     const CampaignPerf &perf = campaign.perf();
     std::printf("== campaign: %zu cells (%zu simulated, %zu cached) in "
