@@ -114,7 +114,6 @@ main(int argc, char **argv)
     OracleDetector oracle(net);
 
     net.enableForensics();
-    net.enableSampling(obs::SamplerConfig{16, 4096});
     if (!trace_path.empty()) {
         if (auto sink = obs::ChromeTraceSink::open(trace_path))
             net.setTracer(std::make_unique<obs::Tracer>(std::move(sink)));

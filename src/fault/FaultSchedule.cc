@@ -48,14 +48,6 @@ kindFromString(const std::string &s, FaultKind &out)
     return true;
 }
 
-/** True for kinds the legacy spin-faults/v1 schema does not know. */
-bool
-isV2Kind(FaultKind k)
-{
-    return k == FaultKind::LinkOutage || k == FaultKind::RouterOutage ||
-           k == FaultKind::Flaky || k == FaultKind::FlakyLinks;
-}
-
 bool
 wantInt(const obs::JsonValue &ev, const char *key, std::int64_t &out,
         std::string &err, std::size_t idx)
@@ -232,11 +224,8 @@ FaultSchedule::fromJson(const obs::JsonValue &doc, FaultSchedule &out,
         return false;
     }
     const obs::JsonValue &schema = doc["schema"];
-    const bool v1 = schema.isString() && schema.asString() == kSchemaV1;
-    if (!schema.isString() ||
-        (!v1 && schema.asString() != kSchema)) {
-        err = std::string("faults: 'schema' must be '") + kSchema +
-              "' (or the legacy '" + kSchemaV1 + "')";
+    if (!schema.isString() || schema.asString() != kSchema) {
+        err = std::string("faults: 'schema' must be '") + kSchema + "'";
         return false;
     }
     const obs::JsonValue *events = doc.find("events");
@@ -261,11 +250,6 @@ FaultSchedule::fromJson(const obs::JsonValue &doc, FaultSchedule &out,
                   " has unknown kind (want link, router, corrupt, "
                   "drop, random-links, link-outage, router-outage, "
                   "flaky, or flaky-links)";
-            return false;
-        }
-        if (v1 && isV2Kind(e.kind)) {
-            err = "faults: event " + std::to_string(i) + " kind '" +
-                  kind.asString() + "' needs schema '" + kSchema + "'";
             return false;
         }
         const obs::JsonValue *cyc = ev.find("cycle");

@@ -9,9 +9,7 @@
  * flight. Schedules are deterministic: the "random-links" and
  * "flaky-links" macros expand into concrete events from their own
  * seeds, so the same spec + seed produces bit-identical runs for any
- * worker count -- the same contract campaign cells obey. Documents
- * declaring the older "spin-faults/v1" schema still parse; the v2-only
- * kinds (outages, flaky links) require the v2 declaration.
+ * worker count -- the same contract campaign cells obey.
  */
 
 #ifndef SPINNOC_FAULT_FAULTSCHEDULE_HH
@@ -85,8 +83,6 @@ struct FaultEvent
 struct FaultSchedule
 {
     static constexpr const char *kSchema = "spin-faults/v2";
-    /** Still-accepted legacy schema (permanent + one-shot kinds only). */
-    static constexpr const char *kSchemaV1 = "spin-faults/v1";
 
     std::vector<FaultEvent> events;
 

@@ -244,12 +244,9 @@ Network::step()
         spinMgr_->fsmTick(now);
     }
 
-    if (samplers_ || metrics_) {
+    if (metrics_) {
         obs::PhaseScope ps(prof, obs::Phase::Telemetry);
-        if (samplers_)
-            samplers_->tick(now);
-        if (metrics_)
-            metrics_->tick(now);
+        metrics_->tick(now);
     }
 
     if (prof)
@@ -293,8 +290,8 @@ Network::commitShards()
         sh.lost = 0;
         if (tracer_) {
             // Replay through record() on this (coordinating) thread:
-            // filters apply here, and sink output lands in shard
-            // order, i.e. exactly the serial emission order.
+            // sink output lands in shard order, i.e. exactly the
+            // serial emission order.
             for (const obs::TraceEvent &e : sh.events)
                 tracer_->record(e);
         }
@@ -438,10 +435,8 @@ Network::beginMeasurement()
         l.resetUses();
     usageWindowStart_ = clock_.now();
     // Windowed series restart with the measurement window, mirroring
-    // the non-structural counter reset above (warmup samples would
-    // otherwise pollute every report built from them).
-    if (samplers_)
-        samplers_->reset(clock_.now());
+    // the counter reset above (warmup windows would otherwise pollute
+    // every report built from them).
     if (metrics_)
         metrics_->onMeasurementBegin(clock_.now());
 }
@@ -469,13 +464,6 @@ void
 Network::setTracer(std::unique_ptr<obs::Tracer> tracer)
 {
     tracer_ = std::move(tracer);
-}
-
-obs::NetworkSamplers &
-Network::enableSampling(const obs::SamplerConfig &cfg)
-{
-    samplers_ = std::make_unique<obs::NetworkSamplers>(*this, cfg);
-    return *samplers_;
 }
 
 obs::Forensics &
@@ -536,8 +524,6 @@ Network::telemetryJson() const
     lu.set("totalCycles", obs::JsonValue(u.totalCycles));
     root.set("linkUsage", std::move(lu));
 
-    if (samplers_)
-        root.set("samplers", samplers_->toJson());
     if (forensics_)
         root.set("forensics", forensics_->toJson());
     if (faults_)

@@ -30,7 +30,6 @@
 #include "common/Types.hh"
 #include "network/Link.hh"
 #include "network/Nic.hh"
-#include "obs/Samplers.hh"
 #include "obs/TraceEvent.hh"
 #include "router/Router.hh"
 #include "sim/Clock.hh"
@@ -226,12 +225,6 @@ class Network
     /** Attach (or, with nullptr, detach) a tracer. */
     void setTracer(std::unique_ptr<obs::Tracer> tracer);
 
-    /** Active samplers, nullptr until enableSampling(). */
-    obs::NetworkSamplers *samplers() { return samplers_.get(); }
-    const obs::NetworkSamplers *samplers() const { return samplers_.get(); }
-    /** Start periodic sampling; replaces any previous sampler set. */
-    obs::NetworkSamplers &enableSampling(const obs::SamplerConfig &cfg = {});
-
     /** Active forensics recorder, nullptr until enableForensics(). */
     obs::Forensics *forensics() { return forensics_.get(); }
     const obs::Forensics *forensics() const { return forensics_.get(); }
@@ -253,7 +246,8 @@ class Network
     obs::PhaseProfiler &enableProfiler();
 
     /** Everything machine-readable in one document: config, cycle,
-     *  stats, link usage, sampler series, forensic snapshots. */
+     *  stats, link usage, forensic snapshots, fault and metrics
+     *  summaries. */
     obs::JsonValue telemetryJson() const;
     /** Write telemetryJson() to @p path. @return false on I/O error. */
     bool dumpTelemetry(const std::string &path) const;
@@ -294,11 +288,10 @@ class Network
     std::vector<std::unique_ptr<StaticBubbleUnit>> bubbles_;
 
     std::unique_ptr<obs::Tracer> tracer_;
-    std::unique_ptr<obs::NetworkSamplers> samplers_;
     std::unique_ptr<obs::Forensics> forensics_;
     std::unique_ptr<fault::FaultInjector> faults_;
-    /** Declared after the components its registry closures read, so it
-     *  is destroyed (emitting its finish record) while they are live. */
+    /** Declared after the components its gauges read, so it is
+     *  destroyed (emitting its finish record) while they are live. */
     std::unique_ptr<obs::NetworkMetrics> metrics_;
     std::unique_ptr<obs::PhaseProfiler> profiler_;
 

@@ -27,117 +27,6 @@ StreamMetricsSink::open(const std::string &path)
     return sink;
 }
 
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
-
-void
-MetricsRegistry::addCounter(std::string name, CounterFn fn)
-{
-    counters_.emplace_back(std::move(name), std::move(fn));
-}
-
-void
-MetricsRegistry::addGauge(std::string name, GaugeFn fn)
-{
-    gauges_.emplace_back(std::move(name), std::move(fn));
-}
-
-void
-MetricsRegistry::addHistogram(std::string name, HistogramFn fn)
-{
-    histograms_.emplace_back(std::move(name), std::move(fn));
-}
-
-namespace
-{
-
-template <typename T>
-std::vector<std::string>
-names(const T &instruments)
-{
-    std::vector<std::string> out;
-    out.reserve(instruments.size());
-    for (const auto &kv : instruments)
-        out.push_back(kv.first);
-    return out;
-}
-
-} // namespace
-
-std::vector<std::string>
-MetricsRegistry::counterNames() const
-{
-    return names(counters_);
-}
-
-std::vector<std::string>
-MetricsRegistry::gaugeNames() const
-{
-    return names(gauges_);
-}
-
-std::vector<std::string>
-MetricsRegistry::histogramNames() const
-{
-    return names(histograms_);
-}
-
-std::vector<std::uint64_t>
-MetricsRegistry::readCounters() const
-{
-    std::vector<std::uint64_t> out;
-    out.reserve(counters_.size());
-    for (const auto &kv : counters_)
-        out.push_back(kv.second());
-    return out;
-}
-
-std::vector<double>
-MetricsRegistry::readGauges() const
-{
-    std::vector<double> out;
-    out.reserve(gauges_.size());
-    for (const auto &kv : gauges_)
-        out.push_back(kv.second());
-    return out;
-}
-
-std::vector<std::vector<std::uint64_t>>
-MetricsRegistry::readHistograms() const
-{
-    std::vector<std::vector<std::uint64_t>> out;
-    out.reserve(histograms_.size());
-    for (const auto &kv : histograms_)
-        out.push_back(kv.second());
-    return out;
-}
-
-void
-MetricsRegistry::readCounters(std::vector<std::uint64_t> &out) const
-{
-    out.resize(counters_.size());
-    for (std::size_t i = 0; i < counters_.size(); ++i)
-        out[i] = counters_[i].second();
-}
-
-void
-MetricsRegistry::readGauges(std::vector<double> &out) const
-{
-    out.resize(gauges_.size());
-    for (std::size_t i = 0; i < gauges_.size(); ++i)
-        out[i] = gauges_[i].second();
-}
-
-void
-MetricsRegistry::readHistograms(
-    std::vector<std::vector<std::uint64_t>> &out) const
-{
-    out.resize(histograms_.size());
-    for (std::size_t i = 0; i < histograms_.size(); ++i)
-        out[i] = histograms_[i].second();
-}
-
 double
 histogramPercentile(const std::vector<std::uint64_t> &buckets, double p)
 {
@@ -182,25 +71,31 @@ NetworkMetrics::NetworkMetrics(Network &net, MetricsConfig cfg,
 {
     SPIN_ASSERT(sink_, "null metrics sink");
     SPIN_ASSERT(cfg_.interval > 0, "metrics interval must be positive");
-    registerBuiltins();
+
+    // Per-vnet input-VC occupancy (flits buffered network-wide) is the
+    // series the VC-management analyses plot against throughput.
+    gaugeNames_ = {"net.packetsInFlight", "nic.queuedPackets",
+                   "spin.smsInFlight", "faults.pendingEvents"};
+    for (VnetId v = 0; v < net_.config().vnets; ++v)
+        gaugeNames_.push_back("occupancy.vnet" + std::to_string(v));
+    gaugeNames_.push_back("occupancy.total");
 
     // Pre-escape every constant fragment of the window record once;
     // emitWindow() only appends numbers between them.
     if (!cfg_.label.empty())
         cellField_ = ",\"cell\":\"" + JsonValue::escape(cfg_.label) + "\"";
-    const auto keyFragments = [](const std::vector<std::string> &ns) {
-        std::vector<std::string> out;
-        out.reserve(ns.size());
-        for (const std::string &n : ns)
-            out.push_back("\"" + JsonValue::escape(n) + "\":");
-        return out;
+    const auto key = [](const std::string &name) {
+        return "\"" + JsonValue::escape(name) + "\":";
     };
-    counterKeys_ = keyFragments(reg_.counterNames());
-    gaugeKeys_ = keyFragments(reg_.gaugeNames());
-    histKeys_ = keyFragments(reg_.histogramNames());
+    for (const StatsCounter &c : kStatsCounters) {
+        if (c.metric == StatMetric::Pub)
+            counterKeys_.push_back(key(c.path));
+    }
+    for (const std::string &name : gaugeNames_)
+        gaugeKeys_.push_back(key(name));
 
     windowStart_ = net_.now();
-    rebaseline();
+    last_ = net_.stats();
     emitHeader();
 }
 
@@ -210,87 +105,31 @@ NetworkMetrics::~NetworkMetrics()
 }
 
 void
-NetworkMetrics::registerBuiltins()
+NetworkMetrics::readGauges()
 {
     Network &n = net_;
-    const Stats &s = n.stats();
-
-    const auto c = [&](const char *name, const std::uint64_t *field) {
-        reg_.addCounter(name, [field]() { return *field; });
-    };
-    c("traffic.packetsInjected", &s.packetsInjected);
-    c("traffic.packetsEjected", &s.packetsEjected);
-    c("traffic.flitsInjected", &s.flitsInjected);
-    c("traffic.flitsEjected", &s.flitsEjected);
-    c("traffic.latencySum", &s.latencySum);
-    c("traffic.hopsSum", &s.hopsSum);
-    c("spin.probesSent", &s.probesSent);
-    c("spin.probesForked", &s.probesForked);
-    c("spin.probesDropped", &s.probesDropped);
-    c("spin.probesReturned", &s.probesReturned);
-    c("spin.movesSent", &s.movesSent);
-    c("spin.probeMovesSent", &s.probeMovesSent);
-    c("spin.killMovesSent", &s.killMovesSent);
-    c("spin.spins", &s.spins);
-    c("spin.falsePositiveSpins", &s.falsePositiveSpins);
-    c("spin.spinsCancelled", &s.spinsCancelled);
-    c("spin.packetsRotated", &s.packetsRotated);
-    c("baseline.bubbleRecoveries", &s.bubbleRecoveries);
-    c("faults.linksFailed", &s.linksFailed);
-    c("faults.routersFailed", &s.routersFailed);
-    c("faults.transientFaults", &s.transientFaults);
-    c("faults.packetsUnroutable", &s.packetsUnroutable);
-    c("faults.packetsRerouted", &s.packetsRerouted);
-    c("faults.packetsLostToFaults", &s.packetsLostToFaults);
-    c("faults.packetsCorrupted", &s.packetsCorrupted);
-    c("faults.packetsDroppedAtNic", &s.packetsDroppedAtNic);
-    c("reliability.crcFails", &s.crcFails);
-    c("reliability.linkRetries", &s.linkRetries);
-    c("reliability.retransmits", &s.retransmits);
-    c("reliability.dupDrops", &s.dupDrops);
-    c("reliability.recoveredPackets", &s.recoveredPackets);
-    c("reliability.packetsAbandoned", &s.packetsAbandoned);
-    c("reliability.watchdogAlarms", &s.watchdogAlarms);
-
-    reg_.addGauge("net.packetsInFlight", [&n]() {
-        return double(n.packetsInFlight());
-    });
-    reg_.addGauge("nic.queuedPackets", [&n]() {
-        double q = 0;
-        for (NodeId i = 0; i < n.numNodes(); ++i)
-            q += double(n.nic(i).queueLength());
-        return q;
-    });
-    reg_.addGauge("spin.smsInFlight", [&n]() {
-        const SpinManager *sm = n.spinManager();
-        return sm ? double(sm->smsInFlight()) : 0.0;
-    });
-    reg_.addGauge("faults.pendingEvents", [&n]() {
-        const fault::FaultInjector *fi = n.faults();
-        if (!fi)
-            return 0.0;
-        return double(fi->events().size() - fi->applied());
-    });
-
-    // Per-vnet input-VC occupancy (flits buffered network-wide), the
-    // series the VC-management analyses plot against throughput.
-    const int vnets = n.config().vnets;
-    for (VnetId v = 0; v < vnets; ++v) {
-        reg_.addGauge("occupancy.vnet" + std::to_string(v), [&n, v]() {
-            std::uint64_t flits = 0;
-            for (RouterId r = 0; r < n.numRouters(); ++r)
-                flits += n.router(r).bufferedFlitsInVnet(v);
-            return double(flits);
-        });
-    }
-    reg_.addGauge("occupancy.total", [&n]() {
-        double flits = 0;
+    gauges_.clear();
+    gauges_.push_back(double(n.packetsInFlight()));
+    double queued = 0;
+    for (NodeId i = 0; i < n.numNodes(); ++i)
+        queued += double(n.nic(i).queueLength());
+    gauges_.push_back(queued);
+    const SpinManager *sm = n.spinManager();
+    gauges_.push_back(sm ? double(sm->smsInFlight()) : 0.0);
+    const fault::FaultInjector *fi = n.faults();
+    gauges_.push_back(fi ? double(fi->events().size() - fi->applied())
+                         : 0.0);
+    for (VnetId v = 0; v < n.config().vnets; ++v) {
+        std::uint64_t flits = 0;
         for (RouterId r = 0; r < n.numRouters(); ++r)
-            flits += double(n.router(r).bufferedFlits());
-        return flits;
-    });
-
-    reg_.addHistogram("latency", [&s]() { return s.latencyHist; });
+            flits += n.router(r).bufferedFlitsInVnet(v);
+        gauges_.push_back(double(flits));
+    }
+    double total = 0;
+    for (RouterId r = 0; r < n.numRouters(); ++r)
+        total += double(n.router(r).bufferedFlits());
+    gauges_.push_back(total);
+    SPIN_ASSERT(gauges_.size() == gaugeKeys_.size(), "gauge list drift");
 }
 
 JsonValue
@@ -325,34 +164,45 @@ NetworkMetrics::emitHeader()
     cfg.set("numLinks", JsonValue(net_.numLinks()));
     o.set("config", std::move(cfg));
 
-    const auto strArr = [](const std::vector<std::string> &v) {
-        JsonValue a = JsonValue::array();
-        for (const std::string &s : v)
-            a.push(JsonValue(s));
-        return a;
-    };
-    o.set("counters", strArr(reg_.counterNames()));
-    o.set("gauges", strArr(reg_.gaugeNames()));
-    o.set("histograms", strArr(reg_.histogramNames()));
+    JsonValue counters = JsonValue::array();
+    for (const StatsCounter &c : kStatsCounters) {
+        if (c.metric == StatMetric::Pub)
+            counters.push(JsonValue(c.path));
+    }
+    o.set("counters", std::move(counters));
+    JsonValue gauges = JsonValue::array();
+    for (const std::string &name : gaugeNames_)
+        gauges.push(JsonValue(name));
+    o.set("gauges", std::move(gauges));
+    JsonValue hists = JsonValue::array();
+    hists.push(JsonValue("latency"));
+    o.set("histograms", std::move(hists));
     sink_->line(o.dump(0));
-}
-
-void
-NetworkMetrics::rebaseline()
-{
-    lastCounters_ = reg_.readCounters();
-    lastHists_ = reg_.readHistograms();
 }
 
 void
 NetworkMetrics::onMeasurementBegin(Cycle now)
 {
-    rebaseline();
+    last_ = net_.stats();
     windowStart_ = now;
     JsonValue o = record("measurement-begin");
     o.set("cycle", JsonValue(now));
     sink_->line(o.dump(0));
 }
+
+namespace
+{
+
+/** Window delta of a cumulative value. beginMeasurement re-baselines
+ *  through onMeasurementBegin, so a value below its baseline can only
+ *  mean an out-of-band reset: restart from zero. */
+std::uint64_t
+delta(std::uint64_t cur, std::uint64_t last)
+{
+    return cur >= last ? cur - last : cur;
+}
+
+} // namespace
 
 void
 NetworkMetrics::emitWindow(Cycle now)
@@ -363,11 +213,8 @@ NetworkMetrics::emitWindow(Cycle now)
     // budgets 2% for the whole enabled engine).
     if (now <= windowStart_)
         return;
-    const Cycle elapsed = now - windowStart_;
-
-    reg_.readCounters(curCounters_);
-    reg_.readHistograms(curHists_);
-    reg_.readGauges(curGauges_);
+    const Stats &cur = net_.stats();
+    readGauges();
 
     std::string &b = buf_;
     b.clear();
@@ -380,88 +227,58 @@ NetworkMetrics::emitWindow(Cycle now)
     b += ",\"cycleEnd\":";
     JsonValue::appendNumber(b, double(now));
 
-    // Counter deltas. beginMeasurement re-baselines through
-    // onMeasurementBegin, so a cumulative value below its baseline can
-    // only mean an out-of-band reset; restart from zero like the
-    // samplers do.
+    // Every row's delta lands in window_ (the derived block below reads
+    // it through Stats' own averages); the Pub rows are also emitted.
     b += ",\"counters\":{";
-    const auto &cnames = reg_.counters_;
-    std::uint64_t flitsEjected = 0, packetsEjected = 0, latencySum = 0;
-    for (std::size_t i = 0; i < curCounters_.size(); ++i) {
-        const std::uint64_t delta =
-            curCounters_[i] >= lastCounters_[i]
-                ? curCounters_[i] - lastCounters_[i]
-                : curCounters_[i];
-        if (i)
+    std::size_t k = 0;
+    for (const StatsCounter &c : kStatsCounters) {
+        window_.*c.field = delta(cur.*c.field, last_.*c.field);
+        if (c.metric != StatMetric::Pub)
+            continue;
+        if (k)
             b += ',';
-        b += counterKeys_[i];
-        JsonValue::appendNumber(b, double(delta));
-        if (cnames[i].first == "traffic.flitsEjected")
-            flitsEjected = delta;
-        else if (cnames[i].first == "traffic.packetsEjected")
-            packetsEjected = delta;
-        else if (cnames[i].first == "traffic.latencySum")
-            latencySum = delta;
+        b += counterKeys_[k++];
+        JsonValue::appendNumber(b, double(window_.*c.field));
     }
 
     b += "},\"gauges\":{";
-    for (std::size_t i = 0; i < curGauges_.size(); ++i) {
+    for (std::size_t i = 0; i < gauges_.size(); ++i) {
         if (i)
             b += ',';
         b += gaugeKeys_[i];
-        JsonValue::appendNumber(b, curGauges_[i]);
+        JsonValue::appendNumber(b, gauges_[i]);
     }
 
-    // Histogram bucket deltas (bucket arrays only ever grow).
-    b += "},\"hist\":{";
-    const auto &hnames = reg_.histograms_;
-    std::vector<std::uint64_t> latencyDelta;
-    for (std::size_t i = 0; i < curHists_.size(); ++i) {
-        std::vector<std::uint64_t> delta(curHists_[i].size(), 0);
-        for (std::size_t bk = 0; bk < curHists_[i].size(); ++bk) {
-            const std::uint64_t prev =
-                bk < lastHists_[i].size() ? lastHists_[i][bk] : 0;
-            delta[bk] = curHists_[i][bk] >= prev
-                            ? curHists_[i][bk] - prev
-                            : curHists_[i][bk];
-        }
-        if (i)
+    // Latency bucket deltas (the bucket array only ever grows).
+    std::vector<std::uint64_t> &hist = window_.latencyHist;
+    hist.resize(cur.latencyHist.size());
+    for (std::size_t bk = 0; bk < hist.size(); ++bk) {
+        hist[bk] = delta(cur.latencyHist[bk], bk < last_.latencyHist.size()
+                                                  ? last_.latencyHist[bk]
+                                                  : 0);
+    }
+    b += "},\"hist\":{\"latency\":[";
+    for (std::size_t bk = 0; bk < hist.size(); ++bk) {
+        if (bk)
             b += ',';
-        b += histKeys_[i];
-        if (delta.empty()) {
-            b += "[]";
-        } else {
-            b += '[';
-            for (std::size_t bk = 0; bk < delta.size(); ++bk) {
-                if (bk)
-                    b += ',';
-                JsonValue::appendNumber(b, double(delta[bk]));
-            }
-            b += ']';
-        }
-        if (hnames[i].first == "latency")
-            latencyDelta = std::move(delta);
+        JsonValue::appendNumber(b, double(hist[bk]));
     }
 
-    b += "},\"derived\":{\"throughput\":";
-    JsonValue::appendNumber(b, double(flitsEjected) /
-                                   double(net_.numNodes()) /
-                                   double(elapsed));
+    window_.windowStart = windowStart_;
+    b += "]},\"derived\":{\"throughput\":";
+    JsonValue::appendNumber(b, window_.throughput(net_.numNodes(), now));
     b += ",\"latencyAvg\":";
-    JsonValue::appendNumber(
-        b, packetsEjected ? double(latencySum) / double(packetsEjected)
-                          : 0.0);
+    JsonValue::appendNumber(b, window_.avgLatency());
     b += ",\"latencyP50\":";
-    JsonValue::appendNumber(b, histogramPercentile(latencyDelta, 0.5));
+    JsonValue::appendNumber(b, histogramPercentile(hist, 0.5));
     b += ",\"latencyP99\":";
-    JsonValue::appendNumber(b, histogramPercentile(latencyDelta, 0.99));
+    JsonValue::appendNumber(b, histogramPercentile(hist, 0.99));
     b += "}}";
 
     sink_->line(b);
     ++windows_;
     windowStart_ = now;
-    std::swap(lastCounters_, curCounters_);
-    std::swap(lastHists_, curHists_);
+    last_ = cur;
 }
 
 void

@@ -2,25 +2,24 @@
  * @file
  * Windowed time-series metrics engine.
  *
- * A MetricsRegistry is a named set of pull-based instruments:
+ * NetworkMetrics snapshots the network every `interval` cycles into a
+ * versioned `spin-metrics/v2` JSONL stream: one header record, then one
+ * record per window. It reads three kinds of instrument:
  *
- *  - **counters** -- monotonically increasing cumulative values (read
- *    from Stats or a component); every window emits the *delta* over
- *    the window.
- *  - **gauges** -- instantaneous values sampled at the window boundary
- *    (VC occupancy, NIC queue depth, packets in flight).
- *  - **histograms** -- log2-bucketed cumulative histograms (HDR-style);
- *    every window emits the per-bucket delta plus p50/p99 interpolated
- *    within it.
+ *  - **counters** -- the Pub rows of the Stats counter table
+ *    (SPIN_STATS_COUNTERS in stats/Stats.hh), under their table paths;
+ *    every window emits the *delta* over the window.
+ *  - **gauges** -- a fixed list of instantaneous values sampled at the
+ *    window boundary (packets in flight, NIC queue depth, SMs in
+ *    flight, pending fault events, per-vnet and total VC occupancy).
+ *  - **histograms** -- Stats::latencyHist, log2-bucketed and
+ *    cumulative; every window emits the per-bucket delta plus p50/p99
+ *    interpolated within it.
  *
- * NetworkMetrics owns a registry pre-populated with the network's own
- * instruments (traffic, SPIN protocol, fault counters, per-vnet VC
- * occupancy) and snapshots it every `interval` cycles into a versioned
- * `spin-metrics/v2` JSONL stream: one header record, then one record
- * per window. All record content derives from simulation state alone,
- * so the stream is bit-identical across runs and worker counts.
+ * All record content derives from simulation state alone, so the
+ * stream is bit-identical across runs and worker counts.
  *
- * Hot-path contract (same as Tracer/Samplers): the Network holds a
+ * Hot-path contract (same as the Tracer): the Network holds a
  * `unique_ptr<NetworkMetrics>` that is null unless enableMetrics() was
  * called; Network::step() pays exactly one predicted branch per cycle
  * when metrics are disabled, and one modulo check per cycle when they
@@ -32,13 +31,13 @@
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/Types.hh"
 #include "obs/Json.hh"
+#include "stats/Stats.hh"
 
 namespace spin
 {
@@ -111,45 +110,6 @@ class NullMetricsSink : public MetricsSink
     void line(const std::string &) override {}
 };
 
-/** See file comment. */
-class MetricsRegistry
-{
-  public:
-    using CounterFn = std::function<std::uint64_t()>;
-    using GaugeFn = std::function<double()>;
-    /** Returns the cumulative log2-bucket array (any length). */
-    using HistogramFn = std::function<std::vector<std::uint64_t>()>;
-
-    void addCounter(std::string name, CounterFn fn);
-    void addGauge(std::string name, GaugeFn fn);
-    void addHistogram(std::string name, HistogramFn fn);
-
-    /// @name Introspection (registration order)
-    /// @{
-    std::vector<std::string> counterNames() const;
-    std::vector<std::string> gaugeNames() const;
-    std::vector<std::string> histogramNames() const;
-    /// @}
-
-    /** Current cumulative counter values, in registration order. */
-    std::vector<std::uint64_t> readCounters() const;
-    std::vector<double> readGauges() const;
-    std::vector<std::vector<std::uint64_t>> readHistograms() const;
-
-    /// @name Allocation-free variants for the per-window hot path
-    /// @{
-    void readCounters(std::vector<std::uint64_t> &out) const;
-    void readGauges(std::vector<double> &out) const;
-    void readHistograms(std::vector<std::vector<std::uint64_t>> &out) const;
-    /// @}
-
-  private:
-    friend class NetworkMetrics;
-    std::vector<std::pair<std::string, CounterFn>> counters_;
-    std::vector<std::pair<std::string, GaugeFn>> gauges_;
-    std::vector<std::pair<std::string, HistogramFn>> histograms_;
-};
-
 /**
  * Percentile from a log2-bucket histogram delta (bucket b holds values
  * in [2^(b-1), 2^b), geometric interpolation). Exposed for the window
@@ -162,10 +122,7 @@ double histogramPercentile(const std::vector<std::uint64_t> &buckets,
 class NetworkMetrics
 {
   public:
-    /**
-     * Registers the network's built-in instruments and writes the
-     * header record. @p sink must not be null.
-     */
+    /** Writes the header record. @p sink must not be null. */
     NetworkMetrics(Network &net, MetricsConfig cfg,
                    std::unique_ptr<MetricsSink> sink);
     ~NetworkMetrics();
@@ -174,8 +131,6 @@ class NetworkMetrics
     NetworkMetrics &operator=(const NetworkMetrics &) = delete;
 
     const MetricsConfig &config() const { return cfg_; }
-    MetricsRegistry &registry() { return reg_; }
-    const MetricsRegistry &registry() const { return reg_; }
     MetricsSink &sink() { return *sink_; }
 
     /** Called by Network::step() every cycle; emits on window ticks. */
@@ -189,11 +144,11 @@ class NetworkMetrics
 
     /**
      * Warmup-reset hook (Network::beginMeasurement). Windowed series
-     * restart like the non-structural Stats counters: counter and
-     * histogram baselines re-read *after* the Stats reset, and a
+     * restart like the Window rows of the Stats table: the counter and
+     * histogram baseline is re-read *after* the Stats reset, and a
      * "measurement-begin" marker record is written so consumers can
-     * split warmup from measurement. Structural fault counters survive
-     * inside Stats itself and keep accumulating normally.
+     * split warmup from measurement. Keep rows (structural fault
+     * counters) survive inside Stats itself and keep accumulating.
      */
     void onMeasurementBegin(Cycle now);
 
@@ -208,24 +163,28 @@ class NetworkMetrics
     std::uint64_t windowsEmitted() const { return windows_; }
 
   private:
-    void registerBuiltins();
     void emitHeader();
     void emitWindow(Cycle now);
-    void rebaseline();
+    /** Fill gauges_ with the current gauge values, in gaugeKeys_
+     *  order. */
+    void readGauges();
     /** Stamp schema/cell/kind prologue fields shared by all records. */
     JsonValue record(const char *kind) const;
 
     Network &net_;
     MetricsConfig cfg_;
     std::unique_ptr<MetricsSink> sink_;
-    MetricsRegistry reg_;
 
-    /** Baselines for delta computation. */
-    std::vector<std::uint64_t> lastCounters_;
-    std::vector<std::vector<std::uint64_t>> lastHists_;
+    /** Stats at the start of the current window (the delta baseline)
+     *  and, reused, the deltas of the window being emitted. */
+    Stats last_;
+    Stats window_;
     Cycle windowStart_ = 0;
     std::uint64_t windows_ = 0;
     bool finished_ = false;
+
+    /** Gauge names in header order. */
+    std::vector<std::string> gaugeNames_;
 
     /**
      * Reused window-serialization state. emitWindow() hand-rolls its
@@ -237,13 +196,10 @@ class NetworkMetrics
      * pre-escaped once.
      */
     std::string cellField_;                //!< ',"cell":"<label>"' or ""
-    std::vector<std::string> counterKeys_; //!< ',"<name>":' fragments
+    std::vector<std::string> counterKeys_; //!< '"<path>":' per Pub row
     std::vector<std::string> gaugeKeys_;
-    std::vector<std::string> histKeys_;
     std::string buf_;
-    std::vector<std::uint64_t> curCounters_;
-    std::vector<double> curGauges_;
-    std::vector<std::vector<std::uint64_t>> curHists_;
+    std::vector<double> gauges_;
 };
 
 } // namespace spin::obs

@@ -40,7 +40,7 @@ enum class Phase : std::uint8_t
     Routing,     //!< route compute + VC allocation
     SwitchAlloc, //!< switch allocation + link traversal
     FsmTimers,   //!< SPIN counter FSMs
-    Telemetry,   //!< samplers + metrics window work
+    Telemetry,   //!< metrics window work
     Count
 };
 

@@ -15,24 +15,17 @@
 namespace spin::obs
 {
 
-/// @name Trace categories (bitmask; combine with |)
+/// @name Trace categories (one bit each)
 /// @{
 inline constexpr std::uint32_t kCatFlit = 1u << 0;     //!< flit lifecycle
 inline constexpr std::uint32_t kCatSpin = 1u << 1;     //!< SPIN protocol
 inline constexpr std::uint32_t kCatLink = 1u << 2;     //!< link traversal
-inline constexpr std::uint32_t kCatSample = 1u << 3;   //!< sampler output
 inline constexpr std::uint32_t kCatForensic = 1u << 4; //!< loop snapshots
 inline constexpr std::uint32_t kCatFault = 1u << 5;    //!< fault injection
-inline constexpr std::uint32_t kCatAll = 0xffffffffu;
 /// @}
 
 /** Short lowercase name of the lowest set category bit (for sinks). */
 const char *categoryName(std::uint32_t cat);
-
-/** Parse a comma-separated category list ("flit,spin") into a mask;
- *  "all" or an empty string selects everything. Unknown names are
- *  ignored. */
-std::uint32_t parseCategoryMask(const char *list);
 
 /**
  * One recorded event. Fields that do not apply stay at their

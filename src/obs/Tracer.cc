@@ -1,8 +1,5 @@
 #include "obs/Tracer.hh"
 
-#include <algorithm>
-#include <cstring>
-
 #include "obs/Json.hh"
 
 namespace spin::obs
@@ -25,46 +22,11 @@ categoryName(std::uint32_t cat)
         return "spin";
     if (cat & kCatLink)
         return "link";
-    if (cat & kCatSample)
-        return "sample";
     if (cat & kCatForensic)
         return "forensic";
     if (cat & kCatFault)
         return "fault";
     return "other";
-}
-
-std::uint32_t
-parseCategoryMask(const char *list)
-{
-    if (!list || !*list)
-        return kCatAll;
-    std::uint32_t mask = 0;
-    const char *p = list;
-    while (*p) {
-        const char *comma = std::strchr(p, ',');
-        const std::size_t n = comma ? static_cast<std::size_t>(comma - p)
-                                    : std::strlen(p);
-        const auto is = [&](const char *name) {
-            return n == std::strlen(name) && std::strncmp(p, name, n) == 0;
-        };
-        if (is("all"))
-            mask |= kCatAll;
-        else if (is("flit"))
-            mask |= kCatFlit;
-        else if (is("spin"))
-            mask |= kCatSpin;
-        else if (is("link"))
-            mask |= kCatLink;
-        else if (is("sample"))
-            mask |= kCatSample;
-        else if (is("forensic"))
-            mask |= kCatForensic;
-        else if (is("fault"))
-            mask |= kCatFault;
-        p = comma ? comma + 1 : p + n;
-    }
-    return mask ? mask : kCatAll;
 }
 
 // ---------------------------------------------------------------------
@@ -192,9 +154,7 @@ ChromeTraceSink::finish()
 // Tracer
 // ---------------------------------------------------------------------
 
-Tracer::Tracer(std::unique_ptr<TraceSink> sink,
-               std::uint32_t category_mask)
-    : sink_(std::move(sink)), mask_(category_mask)
+Tracer::Tracer(std::unique_ptr<TraceSink> sink) : sink_(std::move(sink))
 {
 }
 
@@ -205,29 +165,10 @@ Tracer::~Tracer()
 }
 
 void
-Tracer::restrictRouters(const std::vector<RouterId> &routers)
-{
-    routerAllowed_.clear();
-    routerFilterOn_ = !routers.empty();
-    if (!routerFilterOn_)
-        return;
-    const RouterId top = *std::max_element(routers.begin(), routers.end());
-    routerAllowed_.assign(static_cast<std::size_t>(top) + 1, 0);
-    for (const RouterId r : routers) {
-        if (r >= 0)
-            routerAllowed_[static_cast<std::size_t>(r)] = 1;
-    }
-}
-
-void
 Tracer::record(const TraceEvent &e)
 {
     if (tlsStage != nullptr) {
         tlsStage->push_back(e);
-        return;
-    }
-    if (!wants(e.category, e.router)) {
-        ++filtered_;
         return;
     }
     ++recorded_;

@@ -5,8 +5,8 @@
  * The hot-path contract: components hold no tracer state; they ask the
  * Network for its `Tracer *` and skip everything on nullptr, so a build
  * with tracing disabled pays exactly one predicted branch per hook.
- * When a tracer is attached, per-category and per-router filters decide
- * what reaches the sink.
+ * An attached tracer writes every event it is handed to its sink; each
+ * event names its category, so consumers filter afterwards.
  *
  * Two sinks ship with the simulator:
  *  - JsonlSink: one JSON object per line -- trivially greppable and
@@ -88,38 +88,16 @@ class ChromeTraceSink : public TraceSink
 class Tracer
 {
   public:
-    explicit Tracer(std::unique_ptr<TraceSink> sink,
-                    std::uint32_t category_mask = kCatAll);
+    explicit Tracer(std::unique_ptr<TraceSink> sink);
     ~Tracer();
 
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
-    /// @name Runtime filters
-    /// @{
-    void setCategoryMask(std::uint32_t mask) { mask_ = mask; }
-    std::uint32_t categoryMask() const { return mask_; }
-    /** Only record events of these routers (and router-less events).
-     *  An empty list removes the filter. */
-    void restrictRouters(const std::vector<RouterId> &routers);
-    /** True when an event of @p cat at @p router would be recorded. */
-    bool
-    wants(std::uint32_t cat, RouterId router = kInvalidId) const
-    {
-        if (!(mask_ & cat))
-            return false;
-        if (!routerFilterOn_ || router == kInvalidId)
-            return true;
-        return router >= 0 &&
-               static_cast<std::size_t>(router) < routerAllowed_.size() &&
-               routerAllowed_[static_cast<std::size_t>(router)];
-    }
-    /// @}
-
-    /** Record @p e if the filters admit it. When this thread has a
-     *  staging buffer installed (stageInto), the raw event is appended
-     *  there instead and filtering happens when the owner replays it
-     *  through record() on the coordinating thread. */
+    /** Write @p e to the sink. When this thread has a staging buffer
+     *  installed (stageInto), the event is appended there instead and
+     *  reaches the sink when the owner replays it through record() on
+     *  the coordinating thread. */
     void record(const TraceEvent &e);
 
     /**
@@ -174,20 +152,12 @@ class Tracer
 
     void flush() { sink_->flush(); }
 
-    /// @name Counters
-    /// @{
+    /** Events written to the sink so far. */
     std::uint64_t recorded() const { return recorded_; }
-    /** Events offered but rejected by a filter. */
-    std::uint64_t filtered() const { return filtered_; }
-    /// @}
 
   private:
     std::unique_ptr<TraceSink> sink_;
-    std::uint32_t mask_;
-    bool routerFilterOn_ = false;
-    std::vector<char> routerAllowed_;
     std::uint64_t recorded_ = 0;
-    std::uint64_t filtered_ = 0;
 };
 
 } // namespace spin::obs

@@ -368,9 +368,6 @@ Router::allocateSwitch()
     const Cycle now = net_.now();
     const int n = radix();
 
-    if (net_.samplers())
-        countCreditStalls(now);
-
     // Stage 1: one candidate VC per input port (round-robin). Only
     // occupied VCs can be ready, so probe the set bits of the
     // occupancy mask in round-robin order: bits >= rrPointer first
@@ -489,25 +486,6 @@ Router::sendFlit(PortId inport, VcId vcid)
             e.arg0 = net_.linkIndexOf(id_, outport);
             e.arg1 = seq;
             t->record(e);
-        }
-    }
-}
-
-void
-Router::countCreditStalls(Cycle now)
-{
-    for (PortId inport = 0; inport < radix(); ++inport) {
-        InputUnit &iu = inputs_[inport];
-        for (VcId v = 0; v < iu.numVcs(); ++v) {
-            const VirtualChannel &vc = iu.vc(v);
-            if (vc.empty() || vc.frozen || !vc.routeValid ||
-                vc.grantedVc == kInvalidId) {
-                continue;
-            }
-            if (vc.front().arrivedAt >= now)
-                continue;
-            if (outputs_[vc.request].credits(vc.grantedVc) <= 0)
-                ++creditStalls_;
         }
     }
 }

@@ -141,12 +141,6 @@ class Router
                        VcId down_vc);
 
     /**
-     * Cycles any granted head VC sat blocked purely on credits.
-     * Only accumulated while the network's samplers are enabled.
-     */
-    std::uint64_t creditStallCycles() const { return creditStalls_; }
-
-    /**
      * Flits currently buffered in this router's input VCs. Zero means
      * computeRoutes()/allocateSwitch() are no-ops this cycle, which
      * Network::step() uses to skip idle routers.
@@ -190,9 +184,6 @@ class Router
      *  construction -- the network's link table is fixed by then. */
     std::vector<Link *> outLink_;
     std::vector<Link *> inLink_;
-
-    /** See creditStallCycles(). */
-    std::uint64_t creditStalls_ = 0;
 
     /** Slot in the network's contiguous per-router load array (see
      *  bufferedFlits()); Network::step() scans that array directly so
@@ -241,8 +232,6 @@ class Router
     readyToSend(PortId inport, VcId vcid, Cycle now) const;
     /** Move one flit out: pop, credits, link push, hooks. */
     void sendFlit(PortId inport, VcId vcid);
-    /** Accumulate credit-stall telemetry (samplers enabled only). */
-    void countCreditStalls(Cycle now);
     /** Send one credit upstream for a flit popped from (inport, vc). */
     void creditUpstream(PortId inport, VcId vcid, bool is_free);
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
+#include <string_view>
 
 #include "obs/Metrics.hh"
 
@@ -33,77 +35,28 @@ Stats::onEject(const Packet &pkt)
 void
 Stats::reset(Cycle now)
 {
-    // Structural fault state (how much of the fabric is gone) describes
-    // the network, not the measurement window; it survives the
-    // warmup-reset so post-warmup reports still name the damage.
-    const std::uint64_t lf = linksFailed;
-    const std::uint64_t rf = routersFailed;
-    *this = Stats();
-    linksFailed = lf;
-    routersFailed = rf;
+    for (const StatsCounter &c : kStatsCounters) {
+        if (c.reset == StatReset::Window)
+            this->*c.field = 0;
+    }
+    latencyHist.clear();
     windowStart = now;
 }
 
 void
 Stats::mergeFrom(const Stats &o)
 {
-    packetsCreated += o.packetsCreated;
-    packetsInjected += o.packetsInjected;
-    packetsEjected += o.packetsEjected;
-    flitsCreated += o.flitsCreated;
-    flitsInjected += o.flitsInjected;
-    flitsEjected += o.flitsEjected;
-    latencySum += o.latencySum;
-    netLatencySum += o.netLatencySum;
-    hopsSum += o.hopsSum;
-    maxLatency = std::max(maxLatency, o.maxLatency);
-    spinsOfEjected += o.spinsOfEjected;
+    // Straight-line on purpose: Network::commitShards runs this for
+    // every shard after every sharded phase.
+#define SPIN_STATS_MERGE(field, path, merge, reset, metric)               \
+    field = StatMerge::merge == StatMerge::Max ? std::max(field, o.field) \
+                                               : field + o.field;
+    SPIN_STATS_COUNTERS(SPIN_STATS_MERGE)
+#undef SPIN_STATS_MERGE
     if (latencyHist.size() < o.latencyHist.size())
         latencyHist.resize(o.latencyHist.size(), 0);
     for (std::size_t b = 0; b < o.latencyHist.size(); ++b)
         latencyHist[b] += o.latencyHist[b];
-
-    probesSent += o.probesSent;
-    probesForked += o.probesForked;
-    probesDropped += o.probesDropped;
-    probesReturned += o.probesReturned;
-    probeDropPriority += o.probeDropPriority;
-    probeDropInactive += o.probeDropInactive;
-    probeDropNoDep += o.probeDropNoDep;
-    probeDropHops += o.probeDropHops;
-    probeDropStale += o.probeDropStale;
-    movesSent += o.movesSent;
-    movesDropped += o.movesDropped;
-    movesReturned += o.movesReturned;
-    probeMovesSent += o.probeMovesSent;
-    probeMovesDropped += o.probeMovesDropped;
-    probeMovesReturned += o.probeMovesReturned;
-    killMovesSent += o.killMovesSent;
-    smContentionDrops += o.smContentionDrops;
-    spins += o.spins;
-    falsePositiveSpins += o.falsePositiveSpins;
-    spinsCancelled += o.spinsCancelled;
-    packetsRotated += o.packetsRotated;
-
-    bubbleRecoveries += o.bubbleRecoveries;
-
-    linksFailed += o.linksFailed;
-    routersFailed += o.routersFailed;
-    transientFaults += o.transientFaults;
-    packetsUnroutable += o.packetsUnroutable;
-    packetsRerouted += o.packetsRerouted;
-    packetsLostToFaults += o.packetsLostToFaults;
-    flitsLostToFaults += o.flitsLostToFaults;
-    packetsCorrupted += o.packetsCorrupted;
-    packetsDroppedAtNic += o.packetsDroppedAtNic;
-
-    crcFails += o.crcFails;
-    linkRetries += o.linkRetries;
-    retransmits += o.retransmits;
-    dupDrops += o.dupDrops;
-    recoveredPackets += o.recoveredPackets;
-    packetsAbandoned += o.packetsAbandoned;
-    watchdogAlarms += o.watchdogAlarms;
 }
 
 double
@@ -152,76 +105,25 @@ Stats::toJson() const
 {
     using obs::JsonValue;
     JsonValue o = JsonValue::object();
+    for (const StatsCounter &c : kStatsCounters) {
+        // Walk (creating on first use) the dotted groups of the path;
+        // rows are in document order, so groups appear in row order.
+        JsonValue *group = &o;
+        std::string_view path = c.path;
+        for (std::size_t dot = path.find('.'); dot != path.npos;
+             dot = path.find('.')) {
+            const std::string name(path.substr(0, dot));
+            JsonValue *child = group->find(name);
+            group = child ? child : &group->set(name, JsonValue::object());
+            path.remove_prefix(dot + 1);
+        }
+        group->set(std::string(path), JsonValue(this->*c.field));
+    }
 
-    JsonValue traffic = JsonValue::object();
-    traffic.set("packetsCreated", JsonValue(packetsCreated));
-    traffic.set("packetsInjected", JsonValue(packetsInjected));
-    traffic.set("packetsEjected", JsonValue(packetsEjected));
-    traffic.set("flitsCreated", JsonValue(flitsCreated));
-    traffic.set("flitsInjected", JsonValue(flitsInjected));
-    traffic.set("flitsEjected", JsonValue(flitsEjected));
-    traffic.set("latencySum", JsonValue(latencySum));
-    traffic.set("netLatencySum", JsonValue(netLatencySum));
-    traffic.set("hopsSum", JsonValue(hopsSum));
-    traffic.set("maxLatency", JsonValue(maxLatency));
-    traffic.set("spinsOfEjected", JsonValue(spinsOfEjected));
     JsonValue hist = JsonValue::array();
     for (const std::uint64_t b : latencyHist)
         hist.push(JsonValue(b));
-    traffic.set("latencyHist", std::move(hist));
-    o.set("traffic", std::move(traffic));
-
-    JsonValue sp = JsonValue::object();
-    sp.set("probesSent", JsonValue(probesSent));
-    sp.set("probesForked", JsonValue(probesForked));
-    sp.set("probesDropped", JsonValue(probesDropped));
-    sp.set("probesReturned", JsonValue(probesReturned));
-    JsonValue drops = JsonValue::object();
-    drops.set("priority", JsonValue(probeDropPriority));
-    drops.set("inactive", JsonValue(probeDropInactive));
-    drops.set("noDep", JsonValue(probeDropNoDep));
-    drops.set("hops", JsonValue(probeDropHops));
-    drops.set("stale", JsonValue(probeDropStale));
-    sp.set("probeDropReasons", std::move(drops));
-    sp.set("movesSent", JsonValue(movesSent));
-    sp.set("movesDropped", JsonValue(movesDropped));
-    sp.set("movesReturned", JsonValue(movesReturned));
-    sp.set("probeMovesSent", JsonValue(probeMovesSent));
-    sp.set("probeMovesDropped", JsonValue(probeMovesDropped));
-    sp.set("probeMovesReturned", JsonValue(probeMovesReturned));
-    sp.set("killMovesSent", JsonValue(killMovesSent));
-    sp.set("smContentionDrops", JsonValue(smContentionDrops));
-    sp.set("spins", JsonValue(spins));
-    sp.set("falsePositiveSpins", JsonValue(falsePositiveSpins));
-    sp.set("spinsCancelled", JsonValue(spinsCancelled));
-    sp.set("packetsRotated", JsonValue(packetsRotated));
-    o.set("spin", std::move(sp));
-
-    JsonValue base = JsonValue::object();
-    base.set("bubbleRecoveries", JsonValue(bubbleRecoveries));
-    o.set("baseline", std::move(base));
-
-    JsonValue fl = JsonValue::object();
-    fl.set("linksFailed", JsonValue(linksFailed));
-    fl.set("routersFailed", JsonValue(routersFailed));
-    fl.set("transientFaults", JsonValue(transientFaults));
-    fl.set("packetsUnroutable", JsonValue(packetsUnroutable));
-    fl.set("packetsRerouted", JsonValue(packetsRerouted));
-    fl.set("packetsLostToFaults", JsonValue(packetsLostToFaults));
-    fl.set("flitsLostToFaults", JsonValue(flitsLostToFaults));
-    fl.set("packetsCorrupted", JsonValue(packetsCorrupted));
-    fl.set("packetsDroppedAtNic", JsonValue(packetsDroppedAtNic));
-    o.set("faults", std::move(fl));
-
-    JsonValue rel = JsonValue::object();
-    rel.set("crcFails", JsonValue(crcFails));
-    rel.set("linkRetries", JsonValue(linkRetries));
-    rel.set("retransmits", JsonValue(retransmits));
-    rel.set("dupDrops", JsonValue(dupDrops));
-    rel.set("recoveredPackets", JsonValue(recoveredPackets));
-    rel.set("packetsAbandoned", JsonValue(packetsAbandoned));
-    rel.set("watchdogAlarms", JsonValue(watchdogAlarms));
-    o.set("reliability", std::move(rel));
+    o.find("traffic")->set("latencyHist", std::move(hist));
 
     JsonValue derived = JsonValue::object();
     derived.set("avgLatency", JsonValue(avgLatency()));

@@ -43,7 +43,7 @@ parseSchedule(const char *json)
 // The CI smoke schedule (bench/faults_smoke.json), inlined so the test
 // binary does not depend on the source-tree layout.
 constexpr const char *kSmokeSpec = R"({
-    "schema": "spin-faults/v1",
+    "schema": "spin-faults/v2",
     "events": [
         {"kind": "link", "cycle": 100, "src": 27, "dst": 28},
         {"kind": "link", "cycle": 100, "src": 35, "dst": 43},
@@ -87,13 +87,13 @@ TEST(FaultScheduleTest, RejectsMalformedDocuments)
         return true;
     };
     EXPECT_TRUE(fails(R"({"events": []})", "schema"));
-    EXPECT_TRUE(fails(R"({"schema": "spin-faults/v1"})", "events"));
+    EXPECT_TRUE(fails(R"({"schema": "spin-faults/v2"})", "events"));
     EXPECT_TRUE(fails(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "meteor", "cycle": 1}]})",
         "kind"));
     EXPECT_TRUE(fails(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "link", "cycle": 1}]})",
         "src"));
 }
@@ -102,13 +102,13 @@ TEST(FaultScheduleTest, ValidateCatchesOutOfRangeEndpoints)
 {
     const auto topo = std::make_shared<Topology>(makeMesh(4, 4));
     FaultSchedule fs = parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "link", "cycle": 1,
                         "src": 0, "dst": 99}]})");
     EXPECT_FALSE(fs.validate(*topo).empty());
 
     fs = parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "router", "cycle": 1, "router": 3}]})");
     EXPECT_TRUE(fs.validate(*topo).empty()) << fs.validate(*topo);
 }
@@ -140,7 +140,7 @@ TEST(DegradedTopologyTest, RemovesLinksAndMarksPartial)
     const Topology base = makeMesh(4, 4);
     const std::size_t before = base.links().size();
     FaultSchedule fs = parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "link", "cycle": 1,
                         "src": 5, "dst": 6}]})");
     const auto degraded = degradedTopology(base, fs.concretize(base));
@@ -156,7 +156,7 @@ TEST(DegradedTopologyTest, DeadRouterDisconnectsItsPairs)
 {
     const Topology base = makeMesh(4, 4);
     FaultSchedule fs = parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "router", "cycle": 1, "router": 5}]})");
     const auto degraded = degradedTopology(base, fs.concretize(base));
     EXPECT_TRUE(degraded->partial());
@@ -185,7 +185,7 @@ TEST(FaultInjectionTest, DeadRouterPacketsAreAccountedNotHung)
 {
     auto net = meshNet(4, 4, RoutingKind::WestFirst, 3);
     net->attachFaults(parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "router", "cycle": 10, "router": 5}]})"));
 
     // Traffic into, out of, and across the doomed router.
@@ -211,7 +211,7 @@ TEST(FaultInjectionTest, StructuralCountersSurviveMeasurementReset)
 {
     auto net = meshNet(4, 4, RoutingKind::WestFirst, 3);
     net->attachFaults(parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "link", "cycle": 5,
                         "src": 1, "dst": 2}]})"));
     net->run(20);
@@ -229,7 +229,7 @@ TEST(FaultInjectionTest, EveryInjectedFaultAppearsInTheTrace)
     net->setTracer(std::make_unique<obs::Tracer>(
         std::make_unique<obs::JsonlSink>(ss)));
     net->attachFaults(parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [
                 {"kind": "link", "cycle": 5, "src": 1, "dst": 2},
                 {"kind": "router", "cycle": 8, "router": 10},
@@ -311,7 +311,7 @@ TEST(FaultCampaignTest, FixedScheduleReachesEveryCellDeterministically)
     exp::CampaignOptions opt;
     opt.jobs = 2;
     opt.faultSchedule = parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "link", "cycle": 20,
                         "src": 1, "dst": 2}]})");
     const obs::JsonValue results = exp::Campaign(spec, opt).run();

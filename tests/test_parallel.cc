@@ -210,7 +210,7 @@ faultTelemetry(int threads)
     auto net = preset.build(topo);
 
     const char *spec = R"({
-        "schema": "spin-faults/v1",
+        "schema": "spin-faults/v2",
         "events": [
             {"kind": "link", "cycle": 120, "src": 27, "dst": 28},
             {"kind": "router", "cycle": 200, "router": 9},

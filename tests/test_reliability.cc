@@ -116,20 +116,21 @@ TEST(FaultScheduleV2Test, ParsesAndRoundTripsTransientArms)
 
 TEST(FaultScheduleV2Test, V2KindsNeedTheV2SchemaDeclaration)
 {
-    // A v1 document stays valid (dual-accept), but the transient kinds
-    // are rejected under the legacy declaration so old tooling never
-    // half-understands a schedule.
-    std::string perr;
-    const obs::JsonValue doc = obs::JsonValue::parse(
-        R"({"schema": "spin-faults/v1",
-            "events": [{"kind": "link-outage", "cycle": 1,
-                        "src": 0, "dst": 1, "duration": 5}]})",
-        &perr);
-    ASSERT_TRUE(perr.empty()) << perr;
-    fault::FaultSchedule fs;
-    std::string err;
-    EXPECT_FALSE(fault::FaultSchedule::fromJson(doc, fs, err));
-    EXPECT_NE(err.find("needs schema"), std::string::npos) << err;
+    // Only spin-faults/v2 parses: a document declaring the retired v1
+    // schema is rejected whatever its kinds, and the error names v2.
+    for (const char *kind : {"link-outage", "link"}) {
+        std::string perr;
+        const obs::JsonValue doc = obs::JsonValue::parse(
+            std::string(R"({"schema": "spin-faults/v1", "events": [)") +
+                R"({"kind": ")" + kind +
+                R"(", "cycle": 1, "src": 0, "dst": 1, "duration": 5}]})",
+            &perr);
+        ASSERT_TRUE(perr.empty()) << perr;
+        fault::FaultSchedule fs;
+        std::string err;
+        EXPECT_FALSE(fault::FaultSchedule::fromJson(doc, fs, err)) << kind;
+        EXPECT_NE(err.find("spin-faults/v2"), std::string::npos) << err;
+    }
 }
 
 TEST(FaultScheduleV2Test, FlakyLinksConcretizesDeterministically)
@@ -238,7 +239,7 @@ TEST(ReliabilityLadderTest, UnreachableDestinationIsAbandoned)
     rel.maxRetransmits = 2;
     auto net = relNet(4, 4, RoutingKind::WestFirst, rel);
     net->attachFaults(parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "router", "cycle": 5, "router": 5}]})"));
 
     for (int i = 0; i < 4; ++i)
@@ -266,7 +267,7 @@ TEST(ReliabilityLadderTest, WatchdogAlarmsOnceForStuckPackets)
     rel.watchdogBudget = 60;
     auto net = relNet(4, 4, RoutingKind::WestFirst, rel);
     net->attachFaults(parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [{"kind": "router", "cycle": 5, "router": 5}]})"));
 
     net->offerPacket(net->makePacket(0, 5, 0, 3));
@@ -381,7 +382,7 @@ TEST(ForceSendParityTest, RotationTraverseHonoursTransientArms)
     ReliabilityConfig rel;
     auto net = relNet(4, 4, RoutingKind::WestFirst, rel);
     fault::FaultInjector &fi = net->attachFaults(parseSchedule(
-        R"({"schema": "spin-faults/v1",
+        R"({"schema": "spin-faults/v2",
             "events": [
                 {"kind": "corrupt", "cycle": 1, "src": 0, "dst": 1},
                 {"kind": "drop", "cycle": 1, "src": 1, "dst": 2}

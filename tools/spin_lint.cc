@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -26,6 +25,7 @@
 
 #include "analysis/CdgAnalyzer.hh"
 #include "common/Logging.hh"
+#include "exp/ArgParse.hh"
 #include "fault/FaultSchedule.hh"
 #include "network/NetworkBuilder.hh"
 #include "topology/Dragonfly.hh"
@@ -41,38 +41,13 @@ using analysis::AnalysisReport;
 using analysis::CdgAnalyzer;
 using analysis::Verdict;
 
-const char *kUsage =
-    "spin_lint: static channel-dependency-graph deadlock verifier\n"
-    "\n"
-    "  --topology SPEC   mesh8x8 | mesh:X,Y | torus:X,Y | ring:N |\n"
-    "                    dragonfly | dragonfly:p,a,h,g  (default mesh8x8)\n"
-    "  --routing NAME    xy-dor | west-first | minimal-adaptive |\n"
-    "                    escape-vc | torus-bubble-dor | ugal-dally |\n"
-    "                    ugal-spin | favors-min | favors-nmin\n"
-    "  --scheme NAME     none | spin | static-bubble  (default none)\n"
-    "  --vcs N           VCs per vnet (default: routing's declared min)\n"
-    "  --vnets N         virtual networks (default 1; vnets never share\n"
-    "                    VCs, so vnet 0 decides)\n"
-    "  --max-states N    reachability budget (default 2^24)\n"
-    "  --faults PATH     verify the topology degraded by a\n"
-    "                    spin-faults/v2 spec (single config only)\n"
-    "  --json PATH       write the report (or sweep table) as JSON\n"
-    "  --dot PATH        write the CDG as Graphviz DOT (single config)\n"
-    "  --dot-dir DIR     sweep: write DOT per cyclic/violating row\n"
-    "  --sweep           verify the shipped configuration matrix\n"
-    "  --quiet           only print violations\n"
-    "  --help            this message\n"
-    "\n"
-    "exit status: 0 all contracts hold, 1 violation or inconclusive,\n"
-    "             2 usage error\n";
-
 struct Options
 {
     std::string topology = "mesh8x8";
     std::string routing = "minimal-adaptive";
     std::string scheme = "none";
-    int vcs = 0; // 0 = routing's declared minimum
-    int vnets = 1;
+    std::uint64_t vcs = 0; // 0 = routing's declared minimum
+    std::uint64_t vnets = 1;
     std::uint64_t maxStates = 1ull << 24;
     std::string faultsPath;
     std::string jsonPath;
@@ -80,75 +55,8 @@ struct Options
     std::string dotDir;
     bool sweep = false;
     bool quiet = false;
+    bool help = false;
 };
-
-bool
-parseArgs(int argc, char **argv, Options &o)
-{
-    const auto value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n", argv[i]);
-            return nullptr;
-        }
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *v = nullptr;
-        if (!std::strcmp(a, "--help")) {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else if (!std::strcmp(a, "--sweep")) {
-            o.sweep = true;
-        } else if (!std::strcmp(a, "--quiet")) {
-            o.quiet = true;
-        } else if (!std::strcmp(a, "--topology")) {
-            if (!(v = value(i)))
-                return false;
-            o.topology = v;
-        } else if (!std::strcmp(a, "--routing")) {
-            if (!(v = value(i)))
-                return false;
-            o.routing = v;
-        } else if (!std::strcmp(a, "--scheme")) {
-            if (!(v = value(i)))
-                return false;
-            o.scheme = v;
-        } else if (!std::strcmp(a, "--vcs")) {
-            if (!(v = value(i)))
-                return false;
-            o.vcs = std::atoi(v);
-        } else if (!std::strcmp(a, "--vnets")) {
-            if (!(v = value(i)))
-                return false;
-            o.vnets = std::atoi(v);
-        } else if (!std::strcmp(a, "--max-states")) {
-            if (!(v = value(i)))
-                return false;
-            o.maxStates = std::strtoull(v, nullptr, 10);
-        } else if (!std::strcmp(a, "--faults")) {
-            if (!(v = value(i)))
-                return false;
-            o.faultsPath = v;
-        } else if (!std::strcmp(a, "--json")) {
-            if (!(v = value(i)))
-                return false;
-            o.jsonPath = v;
-        } else if (!std::strcmp(a, "--dot")) {
-            if (!(v = value(i)))
-                return false;
-            o.dotPath = v;
-        } else if (!std::strcmp(a, "--dot-dir")) {
-            if (!(v = value(i)))
-                return false;
-            o.dotDir = v;
-        } else {
-            std::fprintf(stderr, "unknown option %s\n%s", a, kUsage);
-            return false;
-        }
-    }
-    return true;
-}
 
 /** Parse "name:a,b,c" numeric parameters after the colon. */
 std::vector<int>
@@ -241,7 +149,7 @@ runOne(const Options &o, const std::string &topoSpec,
     const RoutingKind kind = routingKindOf(routingName);
     NetworkConfig cfg;
     cfg.name = "spin-lint";
-    cfg.vnets = o.vnets;
+    cfg.vnets = static_cast<int>(o.vnets);
     cfg.vcsPerVnet = vcs > 0 ? vcs : makeRouting(kind)->minVcsPerVnet();
     cfg.scheme = schemeOf(schemeName);
     if (cfg.scheme == DeadlockScheme::StaticBubble)
@@ -384,8 +292,9 @@ int
 runSingle(const Options &o)
 {
     std::string dot;
-    AnalysisReport rep = runOne(o, o.topology, o.routing, o.scheme,
-                                o.vcs, o.dotPath.empty() ? nullptr : &dot);
+    AnalysisReport rep =
+        runOne(o, o.topology, o.routing, o.scheme, static_cast<int>(o.vcs),
+               o.dotPath.empty() ? nullptr : &dot);
     std::printf("%s\n", rep.summary().c_str());
     for (const auto &w : rep.witnesses) {
         std::printf("  witness (m=%d, %s, spin bound %d): ", w.length,
@@ -412,8 +321,55 @@ int
 main(int argc, char **argv)
 {
     Options o;
-    if (!parseArgs(argc, argv, o))
+    const std::vector<exp::ArgSpec> specs = {
+        exp::argStr("--topology", &o.topology,
+                    "mesh8x8 | mesh:X,Y | torus:X,Y | ring:N | dragonfly | "
+                    "dragonfly:p,a,h,g (default mesh8x8)",
+                    "SPEC"),
+        exp::argStr("--routing", &o.routing,
+                    "xy-dor | west-first | minimal-adaptive | escape-vc | "
+                    "torus-bubble-dor | ugal-dally | ugal-spin | favors-min "
+                    "| favors-nmin (default minimal-adaptive)",
+                    "NAME"),
+        exp::argStr("--scheme", &o.scheme,
+                    "none | spin | static-bubble (default none)", "NAME"),
+        exp::argU64("--vcs", &o.vcs,
+                    "VCs per vnet (default: routing's declared min)"),
+        exp::argU64("--vnets", &o.vnets,
+                    "virtual networks (default 1; vnets never share VCs, "
+                    "so vnet 0 decides)"),
+        exp::argU64("--max-states", &o.maxStates,
+                    "reachability budget (default 2^24)"),
+        exp::argStr("--faults", &o.faultsPath,
+                    "verify the topology degraded by a spin-faults/v2 "
+                    "spec (single config only)"),
+        exp::argStr("--json", &o.jsonPath,
+                    "write the report (or sweep table) as JSON"),
+        exp::argStr("--dot", &o.dotPath,
+                    "write the CDG as Graphviz DOT (single config)"),
+        exp::argStr("--dot-dir", &o.dotDir,
+                    "sweep: write DOT per cyclic/violating row", "DIR"),
+        exp::argFlag("--sweep", &o.sweep,
+                     "verify the shipped configuration matrix"),
+        exp::argFlag("--quiet", &o.quiet, "only print violations"),
+        exp::argFlag("--help", &o.help, "this message"),
+    };
+    const std::string usageText =
+        "usage: spin_lint [options]\n"
+        "static channel-dependency-graph deadlock verifier\n\n" +
+        exp::usage(specs) +
+        "\nexit status: 0 all contracts hold, 1 violation or "
+        "inconclusive,\n             2 usage error\n";
+    std::string err;
+    if (!exp::parseArgs(argc, argv, specs, err)) {
+        std::fprintf(stderr, "spin_lint: %s\n%s", err.c_str(),
+                     usageText.c_str());
         return 2;
+    }
+    if (o.help) {
+        std::fputs(usageText.c_str(), stdout);
+        return 0;
+    }
     if (o.sweep && !o.faultsPath.empty()) {
         std::fprintf(stderr, "--faults applies to a single "
                              "configuration, not --sweep\n");

@@ -48,29 +48,6 @@ namespace
 using namespace spin;
 using namespace spin::verify;
 
-const char *kUsage =
-    "spin_model: exhaustive model checker for the SPIN recovery protocol\n"
-    "\n"
-    "  --scenario NAME   verify one scenario (default: all; see --list)\n"
-    "  --budget N        max SM-schedule perturbations per run (default 1)\n"
-    "  --max-runs N      cap runs per scenario, 0 = run frontier dry\n"
-    "                    (default 0)\n"
-    "  --mutate NAME     none | skip-kill-move | skip-cancel-unfreeze\n"
-    "                    (inject a protocol defect; the checker must\n"
-    "                    catch it -- CI runs this as a self-test)\n"
-    "  --no-liveness     disable the bounded-liveness horizon check\n"
-    "  --trace-dir DIR   write a minimized spin-model-trace/v1 file per\n"
-    "                    violation (DIR must exist)\n"
-    "  --json PATH       machine-readable report (spin-model-report/v1)\n"
-    "  --replay PATH     re-execute a trace; exit 0 iff its violation\n"
-    "                    reproduces\n"
-    "  --list            list scenarios and exit\n"
-    "  --quiet           only print violations and the final verdict\n"
-    "  --help            this message\n"
-    "\n"
-    "exit status: 0 verified clean / replay reproduced, 1 violation /\n"
-    "             replay mismatch, 2 usage error\n";
-
 struct Options
 {
     std::string scenario;
@@ -180,24 +157,48 @@ main(int argc, char **argv)
     Options o;
     std::string err;
     const std::vector<exp::ArgSpec> specs = {
-        exp::argStr("--scenario", &o.scenario),
-        exp::argU64("--budget", &o.budget),
-        exp::argU64("--max-runs", &o.maxRuns),
-        exp::argStr("--mutate", &o.mutate),
-        exp::argFlag("--no-liveness", &o.noLiveness),
-        exp::argStr("--trace-dir", &o.traceDir),
-        exp::argStr("--json", &o.jsonPath),
-        exp::argStr("--replay", &o.replayPath),
-        exp::argFlag("--list", &o.list),
-        exp::argFlag("--quiet", &o.quiet),
-        exp::argFlag("--help", &o.help),
+        exp::argStr("--scenario", &o.scenario,
+                    "verify one scenario (default: all; see --list)",
+                    "NAME"),
+        exp::argU64("--budget", &o.budget,
+                    "max SM-schedule perturbations per run (default 1)"),
+        exp::argU64("--max-runs", &o.maxRuns,
+                    "cap runs per scenario, 0 = run frontier dry "
+                    "(default 0)"),
+        exp::argStr("--mutate", &o.mutate,
+                    "none | skip-kill-move | skip-cancel-unfreeze (inject "
+                    "a protocol defect; the checker must catch it -- CI "
+                    "runs this as a self-test)",
+                    "NAME"),
+        exp::argFlag("--no-liveness", &o.noLiveness,
+                     "disable the bounded-liveness horizon check"),
+        exp::argStr("--trace-dir", &o.traceDir,
+                    "write a minimized spin-model-trace/v1 file per "
+                    "violation (DIR must exist)",
+                    "DIR"),
+        exp::argStr("--json", &o.jsonPath,
+                    "machine-readable report (spin-model-report/v1)"),
+        exp::argStr("--replay", &o.replayPath,
+                    "re-execute a trace; exit 0 iff its violation "
+                    "reproduces"),
+        exp::argFlag("--list", &o.list, "list scenarios and exit"),
+        exp::argFlag("--quiet", &o.quiet,
+                     "only print violations and the final verdict"),
+        exp::argFlag("--help", &o.help, "this message"),
     };
+    const std::string usageText =
+        "usage: spin_model [options]\n"
+        "exhaustive model checker for the SPIN recovery protocol\n\n" +
+        exp::usage(specs) +
+        "\nexit status: 0 verified clean / replay reproduced, 1 violation "
+        "/\n             replay mismatch, 2 usage error\n";
     if (!exp::parseArgs(argc, argv, specs, err)) {
-        std::fprintf(stderr, "spin_model: %s\n%s", err.c_str(), kUsage);
+        std::fprintf(stderr, "spin_model: %s\n%s", err.c_str(),
+                     usageText.c_str());
         return 2;
     }
     if (o.help) {
-        std::fputs(kUsage, stdout);
+        std::fputs(usageText.c_str(), stdout);
         return 0;
     }
     if (o.list)
@@ -211,7 +212,7 @@ main(int argc, char **argv)
     eopt.checkLiveness = !o.noLiveness;
     if (!parseMutation(o.mutate, eopt.mutation)) {
         std::fprintf(stderr, "spin_model: unknown mutation \"%s\"\n%s",
-                     o.mutate.c_str(), kUsage);
+                     o.mutate.c_str(), usageText.c_str());
         return 2;
     }
 
@@ -223,7 +224,7 @@ main(int argc, char **argv)
         const Scenario *sc = findScenario(o.scenario);
         if (!sc) {
             std::fprintf(stderr, "spin_model: unknown scenario \"%s\"\n%s",
-                         o.scenario.c_str(), kUsage);
+                         o.scenario.c_str(), usageText.c_str());
             return 2;
         }
         targets.push_back(sc);
