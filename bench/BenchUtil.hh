@@ -2,8 +2,8 @@
  * @file
  * Shared harness for the classic table/figure benches (the ones that
  * drive their own networks instead of a sweep spec): the flag table,
- * --metrics/--profile/--trace plumbing, the --wall-limit watchdog and
- * the --json reporter.
+ * --metrics/--profile/--trace plumbing and the --json reporter. The
+ * --wall-limit watchdog is exp::WallLimitGuard (exp/Campaign.hh).
  *
  * Every bench flag is one row of Options::flags(). A bench's main()
  * names the subset it reads; Options::parse() accepts exactly those
@@ -16,7 +16,6 @@
 #ifndef SPINNOC_BENCH_BENCHUTIL_HH
 #define SPINNOC_BENCH_BENCHUTIL_HH
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -215,55 +214,6 @@ profileTotals()
     static obs::PhaseProfiler totals;
     return totals;
 }
-
-/**
- * Wall-clock watchdog for --wall-limit: sampled every ~1024 simulated
- * cycles (cheap enough for inner loops). On overrun it writes the
- * network's telemetry -- including per-NIC retransmit state when any
- * retransmit queue is nonempty -- to spin-wall-limit.json and fails
- * fast, so a livelocked or wedged run leaves forensics instead of
- * hanging CI.
- */
-class WallLimitGuard
-{
-  public:
-    explicit WallLimitGuard(std::uint64_t limit_seconds)
-        : limit_(limit_seconds),
-          start_(std::chrono::steady_clock::now())
-    {}
-
-    void
-    check(Network &net)
-    {
-        if (limit_ == 0 || (++ticks_ & 1023u) != 0)
-            return;
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::seconds>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-        if (static_cast<std::uint64_t>(elapsed) < limit_)
-            return;
-        obs::JsonValue doc = net.telemetryJson();
-        obs::JsonValue retx = obs::JsonValue::array();
-        for (int n = 0; n < net.numNodes(); ++n) {
-            Nic &nic = net.nic(static_cast<NodeId>(n));
-            if (nic.retxQueueLength() > 0)
-                retx.push(nic.retxJson(net.now()));
-        }
-        doc.set("retx", std::move(retx));
-        const char *path = "spin-wall-limit.json";
-        std::ofstream os(path);
-        os << doc.dump(2) << '\n';
-        SPIN_FATAL("wall-clock limit of ", limit_,
-                   "s exceeded at cycle ", net.now(),
-                   "; telemetry: ", path);
-    }
-
-  private:
-    std::uint64_t limit_;
-    std::chrono::steady_clock::time_point start_;
-    std::uint64_t ticks_ = 0;
-};
 
 /** Attach a Chrome trace sink for --trace; an unopenable path warns
  *  and the run continues untraced. */

@@ -24,6 +24,7 @@
 #include <utility>
 
 #include "bench/BenchUtil.hh"
+#include "exp/Campaign.hh"
 #include "fault/FaultSchedule.hh"
 #include "topology/Mesh.hh"
 #include "traffic/SyntheticInjector.hh"
@@ -126,7 +127,7 @@ main(int argc, char **argv)
     icfg.seed = cfg.seed + 1;
     SyntheticInjector inj(*net, Pattern::UniformRandom, icfg);
 
-    WallLimitGuard wall(opt.wallLimit);
+    exp::WallLimitGuard wall(opt.wallLimit, "spin-wall-limit.json");
     for (Cycle i = 0; i < inject; ++i) {
         inj.tick();
         net->step();

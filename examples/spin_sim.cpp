@@ -8,86 +8,20 @@
  *                --scheme spin --pattern transpose --rate 0.3 \
  *                --warmup 2000 --measure 10000
  *
- * Topologies: mesh<X>x<Y>, torus<X>x<Y>, ring<N>, dragonfly (paper's
- * 1024-node instance), or file:<path> (TopologyIo format).
+ * Topologies: any spin_sweep topology name (mesh<X>x<Y>,
+ * torus<X>x<Y>, ring<N>, dragonfly for the paper's 1024-node instance,
+ * dragonfly-p<P>a<A>h<H>g<G>), or file:<path> (TopologyIo format).
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "exp/SweepSpec.hh"
 #include "network/NetworkBuilder.hh"
-#include "topology/Dragonfly.hh"
-#include "topology/Mesh.hh"
-#include "topology/Ring.hh"
 #include "topology/TopologyIo.hh"
-#include "topology/Torus.hh"
 #include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
-
-namespace
-{
-
-Topology
-parseTopology(const std::string &s)
-{
-    int a = 0, b = 0;
-    if (std::sscanf(s.c_str(), "mesh%dx%d", &a, &b) == 2)
-        return makeMesh(a, b);
-    if (std::sscanf(s.c_str(), "torus%dx%d", &a, &b) == 2)
-        return makeTorus(a, b);
-    if (std::sscanf(s.c_str(), "ring%d", &a) == 1)
-        return makeRing(a);
-    if (s == "dragonfly")
-        return makePaperDragonfly();
-    if (s.rfind("file:", 0) == 0)
-        return readTopologyFile(s.substr(5));
-    SPIN_FATAL("unknown topology '", s, "'");
-}
-
-RoutingKind
-parseRouting(const std::string &s)
-{
-    for (const RoutingKind k :
-         {RoutingKind::XyDor, RoutingKind::WestFirst,
-          RoutingKind::MinimalAdaptive, RoutingKind::EscapeVc,
-          RoutingKind::TorusBubble, RoutingKind::UgalDally,
-          RoutingKind::UgalSpin, RoutingKind::FavorsMin,
-          RoutingKind::FavorsNMin}) {
-        if (toString(k) == s)
-            return k;
-    }
-    SPIN_FATAL("unknown routing '", s, "' (try favors-min, west-first, "
-               "escape-vc, ugal-dally, ...)");
-}
-
-Pattern
-parsePattern(const std::string &s)
-{
-    for (const Pattern p :
-         {Pattern::UniformRandom, Pattern::BitComplement,
-          Pattern::Transpose, Pattern::Tornado, Pattern::BitReverse,
-          Pattern::BitRotation, Pattern::Shuffle, Pattern::Neighbor}) {
-        if (toString(p) == s)
-            return p;
-    }
-    SPIN_FATAL("unknown pattern '", s, "'");
-}
-
-DeadlockScheme
-parseScheme(const std::string &s)
-{
-    if (s == "spin")
-        return DeadlockScheme::Spin;
-    if (s == "static-bubble")
-        return DeadlockScheme::StaticBubble;
-    if (s == "none")
-        return DeadlockScheme::None;
-    SPIN_FATAL("unknown scheme '", s, "' (spin|static-bubble|none)");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -124,15 +58,30 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    cfg.scheme = parseScheme(scheme_s);
+    if (!schemeFromString(scheme_s, cfg.scheme))
+        SPIN_FATAL("unknown scheme '", scheme_s,
+                   "' (spin|static-bubble|none)");
     cfg.name = topo_s + "/" + routing_s;
 
-    auto topo = std::make_shared<Topology>(parseTopology(topo_s));
-    auto net = buildNetwork(topo, cfg, parseRouting(routing_s));
+    std::string err;
+    std::shared_ptr<const Topology> topo =
+        topo_s.rfind("file:", 0) == 0
+            ? std::make_shared<Topology>(readTopologyFile(topo_s.substr(5)))
+            : exp::makeTopologyByName(topo_s, err);
+    if (!topo)
+        SPIN_FATAL(err);
+    RoutingKind kind{};
+    if (!exp::routingKindFromString(routing_s, kind))
+        SPIN_FATAL("unknown routing '", routing_s, "' (try favors-min, "
+                   "west-first, escape-vc, ugal-dally, ...)");
+    Pattern pattern{};
+    if (!exp::patternFromString(pattern_s, pattern))
+        SPIN_FATAL("unknown pattern '", pattern_s, "'");
+    auto net = buildNetwork(topo, cfg, kind);
     InjectorConfig icfg;
     icfg.injectionRate = rate;
     icfg.seed = cfg.seed + 1;
-    SyntheticInjector inj(*net, parsePattern(pattern_s), icfg);
+    SyntheticInjector inj(*net, pattern, icfg);
 
     for (Cycle i = 0; i < warmup; ++i) {
         inj.tick();

@@ -16,6 +16,19 @@ toString(DeadlockScheme s)
     return "?";
 }
 
+bool
+schemeFromString(const std::string &text, DeadlockScheme &out)
+{
+    for (const DeadlockScheme s : {DeadlockScheme::None, DeadlockScheme::Spin,
+                                   DeadlockScheme::StaticBubble}) {
+        if (toString(s) == text) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 void
 NetworkConfig::validate() const
 {

@@ -29,6 +29,8 @@ enum class DeadlockScheme : std::uint8_t
 };
 
 std::string toString(DeadlockScheme s);
+/** Parse a scheme name as printed by toString(DeadlockScheme). */
+bool schemeFromString(const std::string &text, DeadlockScheme &out);
 
 /**
  * End-to-end reliability layer knobs (docs/FAULTS.md). Off by default:

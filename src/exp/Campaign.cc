@@ -54,21 +54,36 @@ specFingerprint(const SweepSpec &spec, const fault::FaultSchedule &faults,
 
 } // namespace
 
-obs::JsonValue
-CampaignPerf::toJson() const
+WallLimitGuard::WallLimitGuard(std::uint64_t limit_seconds,
+                               std::string report_path)
+    : limit_(limit_seconds), reportPath_(std::move(report_path)),
+      start_(std::chrono::steady_clock::now())
+{}
+
+void
+WallLimitGuard::checkClock(Network &net) const
 {
-    using obs::JsonValue;
-    JsonValue o = JsonValue::object();
-    o.set("wallSeconds", JsonValue(wallSeconds));
-    o.set("cells", JsonValue(static_cast<std::uint64_t>(cells)));
-    o.set("cellsSimulated",
-          JsonValue(static_cast<std::uint64_t>(cellsSimulated)));
-    o.set("cellsCached",
-          JsonValue(static_cast<std::uint64_t>(cellsCached)));
-    o.set("cyclesSimulated", JsonValue(cyclesSimulated));
-    o.set("cellsPerSec", JsonValue(cellsPerSec()));
-    o.set("cyclesPerSec", JsonValue(cyclesPerSec()));
-    return o;
+    const auto secs = std::chrono::duration_cast<std::chrono::seconds>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
+    if (static_cast<std::uint64_t>(secs) < limit_)
+        return;
+    obs::JsonValue doc = net.telemetryJson();
+    obs::JsonValue retx = obs::JsonValue::array();
+    for (int n = 0; n < net.numNodes(); ++n) {
+        Nic &nic = net.nic(static_cast<NodeId>(n));
+        if (nic.retxQueueLength() > 0)
+            retx.push(nic.retxJson(net.now()));
+    }
+    doc.set("retx", std::move(retx));
+    std::string where;
+    if (!reportPath_.empty()) {
+        std::ofstream os(reportPath_);
+        os << doc.dump(2) << '\n';
+        where = "; telemetry: " + reportPath_;
+    }
+    SPIN_FATAL("wall-clock limit of ", limit_, "s exceeded at cycle ",
+               net.now(), where);
 }
 
 Campaign::Campaign(SweepSpec spec, CampaignOptions opt)
@@ -162,51 +177,20 @@ Campaign::runCell(const SweepSpec &spec, const Cell &cell,
                    rep.violations.front(), ")", where);
     };
 
-    // Wall-clock watchdog (spin_sweep --wall-limit): sampled every
-    // ~1024 cycles. A wedged cell dumps its telemetry -- including the
-    // per-NIC retransmit queues, the first thing to read when the
-    // reliability protocol livelocks -- and fails fast.
-    const auto wallStart = std::chrono::steady_clock::now();
-    std::uint64_t wallTicks = 0;
-    const auto checkWall = [&]() {
-        if (capture.wallLimitSeconds == 0 || (++wallTicks & 1023u) != 0)
-            return;
-        const auto secs =
-            std::chrono::duration_cast<std::chrono::seconds>(
-                std::chrono::steady_clock::now() - wallStart)
-                .count();
-        if (static_cast<std::uint64_t>(secs) < capture.wallLimitSeconds)
-            return;
-        obs::JsonValue doc = net->telemetryJson();
-        obs::JsonValue retx = obs::JsonValue::array();
-        for (int n = 0; n < net->numNodes(); ++n) {
-            Nic &nic = net->nic(static_cast<NodeId>(n));
-            if (nic.retxQueueLength() > 0)
-                retx.push(nic.retxJson(net->now()));
-        }
-        doc.set("retx", std::move(retx));
-        std::string where;
-        if (!capture.wallReportPath.empty()) {
-            std::ofstream os(capture.wallReportPath);
-            os << doc.dump(2) << '\n';
-            where = "; telemetry: " + capture.wallReportPath;
-        }
-        SPIN_FATAL("wall-clock limit of ", capture.wallLimitSeconds,
-                   "s exceeded at cycle ", net->now(), where);
-    };
+    WallLimitGuard wall(capture.wallLimitSeconds, capture.wallReportPath);
 
     for (Cycle i = 0; i < spec.warmup; ++i) {
         inj.tick();
         net->step();
         maybeAudit();
-        checkWall();
+        wall.check(*net);
     }
     net->beginMeasurement();
     for (Cycle i = 0; i < spec.measure; ++i) {
         inj.tick();
         net->step();
         maybeAudit();
-        checkWall();
+        wall.check(*net);
     }
 
     if (msink) {

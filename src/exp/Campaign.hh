@@ -21,6 +21,7 @@
 #ifndef SPINNOC_EXP_CAMPAIGN_HH
 #define SPINNOC_EXP_CAMPAIGN_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -28,6 +29,7 @@
 
 #include "exp/SweepSpec.hh"
 #include "fault/FaultSchedule.hh"
+#include "network/Network.hh"
 #include "obs/Json.hh"
 #include "obs/Profiler.hh"
 
@@ -117,8 +119,38 @@ struct CampaignPerf
     {
         return wallSeconds > 0 ? cyclesSimulated / wallSeconds : 0.0;
     }
+};
 
-    obs::JsonValue toJson() const;
+/**
+ * Wall-clock watchdog for --wall-limit (spin_sweep cells and the
+ * benches alike): check() is called once per simulated cycle and reads
+ * the clock every 1024 calls. On overrun it writes the network's
+ * telemetry -- plus every nonempty NIC retransmit queue, the first
+ * thing to read when the reliability protocol livelocks -- to the
+ * report path and throws FatalError, so a wedged run leaves forensics
+ * instead of hanging its caller.
+ */
+class WallLimitGuard
+{
+  public:
+    /** @p limit_seconds 0 disables the guard; an empty @p report_path
+     *  keeps the diagnosis in the exception message only. */
+    WallLimitGuard(std::uint64_t limit_seconds, std::string report_path);
+
+    void
+    check(Network &net)
+    {
+        if (limit_ != 0 && (++ticks_ & 1023u) == 0)
+            checkClock(net);
+    }
+
+  private:
+    void checkClock(Network &net) const;
+
+    std::uint64_t limit_;
+    std::string reportPath_;
+    std::chrono::steady_clock::time_point start_;
+    std::uint64_t ticks_ = 0;
 };
 
 /** Optional per-cell instrumentation for Campaign::runCell. */

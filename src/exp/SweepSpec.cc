@@ -1,5 +1,6 @@
 #include "exp/SweepSpec.hh"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -61,34 +62,44 @@ vnet1Cfg(const std::string &name, int vcs_per_vnet)
     return cfg;
 }
 
-/** A topology spec name, parsed but not built. */
+/** A topology spec name, parsed but not built: mesh and torus use
+ *  dim[0..1], a ring dim[0], a dragonfly its p, a, h, g (all zero for
+ *  the paper's fabric). */
 struct TopologyName
 {
     enum Kind { Mesh, Torus, Ring, Dragonfly } kind = Mesh;
-    int x = 0;
-    int y = 0;
+    std::array<int, 4> dim{};
 };
 
 /** The topology-name grammar; nullopt with @p err set when unknown. */
 std::optional<TopologyName>
 parseTopologyName(const std::string &name, std::string &err)
 {
-    int x = 0, y = 0;
+    int x = 0, y = 0, h = 0, g = 0;
     char tail = 0;
     if (std::sscanf(name.c_str(), "mesh%dx%d%c", &x, &y, &tail) == 2 &&
         x >= 2 && y >= 2) {
-        return TopologyName{TopologyName::Mesh, x, y};
+        return TopologyName{TopologyName::Mesh, {x, y}};
     }
     if (std::sscanf(name.c_str(), "torus%dx%d%c", &x, &y, &tail) == 2 &&
         x >= 2 && y >= 2) {
-        return TopologyName{TopologyName::Torus, x, y};
+        return TopologyName{TopologyName::Torus, {x, y}};
     }
     if (std::sscanf(name.c_str(), "ring%d%c", &x, &tail) == 1 && x >= 2)
-        return TopologyName{TopologyName::Ring, x, 0};
+        return TopologyName{TopologyName::Ring, {x}};
     if (name == "dragonfly")
-        return TopologyName{TopologyName::Dragonfly, 0, 0};
+        return TopologyName{TopologyName::Dragonfly, {}};
+    // The name makeDragonfly gives the fabric it builds; the bounds are
+    // the ones it enforces (x = p terminals, y = a routers per group).
+    if (std::sscanf(name.c_str(), "dragonfly-p%da%dh%dg%d%c", &x, &y, &h,
+                    &g, &tail) == 4 &&
+        x >= 1 && y >= 2 && h >= 1 && g >= 2 &&
+        g <= static_cast<long long>(y) * h + 1) {
+        return TopologyName{TopologyName::Dragonfly, {x, y, h, g}};
+    }
     err = "unknown topology '" + name +
-          "' (want mesh<X>x<Y>, torus<X>x<Y>, ring<N>, or dragonfly)";
+          "' (want mesh<X>x<Y>, torus<X>x<Y>, ring<N>, dragonfly, or "
+          "dragonfly-p<P>a<A>h<H>g<G>)";
     return std::nullopt;
 }
 
@@ -148,17 +159,20 @@ makeTopologyByName(const std::string &name, std::string &err)
     const std::optional<TopologyName> t = parseTopologyName(name, err);
     if (!t)
         return nullptr;
+    const std::array<int, 4> &d = t->dim;
     switch (t->kind) {
       case TopologyName::Mesh:
-        return std::make_shared<Topology>(makeMesh(t->x, t->y));
+        return std::make_shared<Topology>(makeMesh(d[0], d[1]));
       case TopologyName::Torus:
-        return std::make_shared<Topology>(makeTorus(t->x, t->y));
+        return std::make_shared<Topology>(makeTorus(d[0], d[1]));
       case TopologyName::Ring:
-        return std::make_shared<Topology>(makeRing(t->x));
+        return std::make_shared<Topology>(makeRing(d[0]));
       case TopologyName::Dragonfly:
         break;
     }
-    return std::make_shared<Topology>(makePaperDragonfly());
+    if (d[0] == 0)
+        return std::make_shared<Topology>(makePaperDragonfly());
+    return std::make_shared<Topology>(makeDragonfly(d[0], d[1], d[2], d[3]));
 }
 
 bool
@@ -175,6 +189,23 @@ patternFromString(const std::string &text, Pattern &out)
           Pattern::BitRotation, Pattern::Shuffle, Pattern::Neighbor}) {
         if (toString(p) == norm) {
             out = p;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+routingKindFromString(const std::string &text, RoutingKind &out)
+{
+    for (const RoutingKind k :
+         {RoutingKind::XyDor, RoutingKind::WestFirst,
+          RoutingKind::MinimalAdaptive, RoutingKind::EscapeVc,
+          RoutingKind::TorusBubble, RoutingKind::UgalDally,
+          RoutingKind::UgalSpin, RoutingKind::FavorsMin,
+          RoutingKind::FavorsNMin}) {
+        if (toString(k) == text) {
+            out = k;
             return true;
         }
     }
@@ -651,10 +682,12 @@ const BuiltinSpecText kBuiltins[] = {
          "seeds": [1, 2],
          "faults": [0, 2, 4], "faultCycle": 200,
          "warmup": 300, "measure": 700, "latencyCap": 400.0})"},
-    // Thread-scaling gate: one large-topology cell (1024 routers, the
-    // size docs/SCALING.md quotes speedups for). CI runs it twice,
-    // --threads 1 and --threads 4, and diffs the aggregates; a perf
-    // row lands in BENCH_sweep.json via micro_router as well.
+    // Thread-determinism gate on a 1024-router torus: CI runs it at
+    // --threads 1 and --threads 4 and diffs the aggregates and metrics
+    // streams. The 0.30 cell is past the torus's ~0.25 saturation
+    // point (it accepts 0.028, benchmark/README.md) and is kept on
+    // purpose: its blocked loops send SPIN probes across shards under
+    // -t4. Do not read its host times as throughput.
     {"scaling-torus32",
      R"({"name": "scaling-torus32", "topology": "torus32x32",
          "presets": ["MinAdaptive_3VC_SPIN"],

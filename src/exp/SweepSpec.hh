@@ -117,7 +117,8 @@ const ConfigPreset *findPreset(const std::string &name);
 
 /**
  * Build a topology from its spec name: "mesh<X>x<Y>", "torus<X>x<Y>",
- * "ring<N>", or "dragonfly" (the paper's 1024-node p=4 a=8 h=4 g=32).
+ * "ring<N>", "dragonfly" (the paper's 1024-node p=4 a=8 h=4 g=32), or
+ * "dragonfly-p<P>a<A>h<H>g<G>" (the name makeDragonfly gives it).
  * Returns nullptr with @p err set for unknown names.
  */
 std::shared_ptr<const Topology> makeTopologyByName(const std::string &name,
@@ -125,6 +126,8 @@ std::shared_ptr<const Topology> makeTopologyByName(const std::string &name,
 
 /** Parse a pattern name as printed by toString(Pattern). */
 bool patternFromString(const std::string &text, Pattern &out);
+/** Parse a routing name as printed by toString(RoutingKind). */
+bool routingKindFromString(const std::string &text, RoutingKind &out);
 /// @}
 
 /// @name Built-in specs

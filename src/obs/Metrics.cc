@@ -209,8 +209,8 @@ NetworkMetrics::emitWindow(Cycle now)
 {
     // Serialized by hand into a reused buffer -- byte-identical with
     // the JsonValue::dump(0) rendering of the same record, but without
-    // the per-window tree allocations (the off/on micro_router gate
-    // budgets 2% for the whole enabled engine).
+    // the per-window tree allocations (tools/check_metrics_overhead.py
+    // budgets the whole enabled engine at 2% of step time).
     if (now <= windowStart_)
         return;
     const Stats &cur = net_.stats();

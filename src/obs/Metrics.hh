@@ -190,10 +190,10 @@ class NetworkMetrics
      * Reused window-serialization state. emitWindow() hand-rolls its
      * JSON into buf_ (byte-identical with JsonValue::dump(0)) instead
      * of building a JsonValue tree: the tree's per-window string
-     * allocations were the dominant cost of the enabled engine in
-     * micro_router, and the off/on gate (tools/check_micro_delta.py)
-     * budgets 2%. Keys never change after construction, so they are
-     * pre-escaped once.
+     * allocations were the dominant cost of the enabled engine, which
+     * CI budgets at 2% of step time (tools/check_metrics_overhead.py).
+     * Keys never change after construction, so they are pre-escaped
+     * once.
      */
     std::string cellField_;                //!< ',"cell":"<label>"' or ""
     std::vector<std::string> counterKeys_; //!< '"<path>":' per Pub row

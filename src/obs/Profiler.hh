@@ -13,7 +13,8 @@
  * cycles/s; the *shares* remain meaningful, which is what the summary
  * reports. Wall-clock data is inherently machine-dependent, so the
  * summary lives next to the deterministic documents (telemetry
- * "profile" section, campaign perf block), never inside them.
+ * "profile" section, the spin_sweep --bench-json "profile" block),
+ * never inside them.
  */
 
 #ifndef SPINNOC_OBS_PROFILER_HH

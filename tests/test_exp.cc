@@ -121,14 +121,56 @@ TEST(SweepSpecTest, ValidateAcceptsExactlyTheBuildableTopologyNames)
 {
     SweepSpec s;
     ASSERT_TRUE(builtinSpec("ci-smoke", s));
-    for (const char *name : {"mesh4x4", "torus4x3", "ring5", "dragonfly",
-                             "mesh1x4", "mesh4x4x", "torus4", "ring1",
-                             "Dragonfly", ""}) {
-        s.topology = name;
-        std::string terr;
-        const bool builds = makeTopologyByName(name, terr) != nullptr;
-        EXPECT_EQ(s.validate(), builds ? "" : "spec: " + terr) << name;
+    const std::vector<const char *> accepted = {
+        "mesh4x4", "torus4x3", "ring5", "dragonfly", "dragonfly-p2a4h2g9"};
+    const std::vector<const char *> rejected = {
+        "mesh1x4", "mesh4x4x", "torus4", "ring1", "Dragonfly", "",
+        "dragonfly-p2a4h2", "dragonfly-p2a4h2g9x", "torus:4,4"};
+    for (const bool ok : {true, false}) {
+        for (const char *name : ok ? accepted : rejected) {
+            s.topology = name;
+            std::string terr;
+            const bool builds = makeTopologyByName(name, terr) != nullptr;
+            EXPECT_EQ(builds, ok) << name;
+            EXPECT_EQ(s.validate(), builds ? "" : "spec: " + terr) << name;
+        }
     }
+    // The dragonfly production is the name makeDragonfly gives the
+    // fabric it builds.
+    std::string terr;
+    const auto dfly = makeTopologyByName("dragonfly-p2a4h2g9", terr);
+    ASSERT_TRUE(dfly) << terr;
+    EXPECT_EQ(dfly->numRouters(), 36);
+    EXPECT_EQ(dfly->name, "dragonfly-p2a4h2g9");
+}
+
+TEST(EnumNameTest, RoutingKindAndSchemeRoundTrip)
+{
+    for (int i = 0; i <= static_cast<int>(RoutingKind::FavorsNMin); ++i) {
+        const auto kind = static_cast<RoutingKind>(i);
+        RoutingKind back = kind == RoutingKind::XyDor
+                               ? RoutingKind::FavorsNMin
+                               : RoutingKind::XyDor;
+        EXPECT_TRUE(routingKindFromString(toString(kind), back)) << i;
+        EXPECT_EQ(back, kind) << toString(kind);
+    }
+    for (int i = 0; i <= static_cast<int>(DeadlockScheme::StaticBubble);
+         ++i) {
+        const auto scheme = static_cast<DeadlockScheme>(i);
+        DeadlockScheme back = scheme == DeadlockScheme::None
+                                  ? DeadlockScheme::Spin
+                                  : DeadlockScheme::None;
+        EXPECT_TRUE(schemeFromString(toString(scheme), back)) << i;
+        EXPECT_EQ(back, scheme) << toString(scheme);
+    }
+    RoutingKind kind = RoutingKind::WestFirst;
+    DeadlockScheme scheme = DeadlockScheme::Spin;
+    for (const char *bad : {"", "?", "SPIN", "favors_min", "xy-dor "}) {
+        EXPECT_FALSE(routingKindFromString(bad, kind)) << bad;
+        EXPECT_FALSE(schemeFromString(bad, scheme)) << bad;
+    }
+    EXPECT_EQ(kind, RoutingKind::WestFirst);
+    EXPECT_EQ(scheme, DeadlockScheme::Spin);
 }
 
 TEST(SweepSpecTest, BuiltinSpecsAllValidateAndExpand)

@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
 """Compare two spin-sweep-bench records (bench/BENCH_sweep.json format).
 
-The record has two parts with different contracts:
-
-* ``digest`` -- the deterministic per-cell results (latency, throughput,
-  flits ejected, spins). The simulator is bit-deterministic for a given
-  spec, so these must match the committed baseline essentially exactly;
-  a drift here means the simulation changed behaviour and the baseline
-  must be regenerated *deliberately* (see EXPERIMENTS.md).
-* ``perf`` -- wall-clock throughput of the run. Machine-dependent, so it
-  is reported but never gated by default; ``--min-cells-per-sec`` adds a
-  floor for environments with known hardware.
+The record's ``digest`` holds the deterministic per-cell results
+(latency, throughput, flits ejected, spins). The simulator is
+bit-deterministic for a given spec, so these must match the committed
+baseline essentially exactly; a drift here means the simulation changed
+behaviour and the baseline must be regenerated *deliberately* (see
+EXPERIMENTS.md). A ``profile`` block (spin_sweep --profile) is
+wall-clock data and is ignored here.
 
 Cells produced by the reliability sweep dimension carry ``__rel`` ids
 (docs/SWEEP.md); a spec that never swept reliability has no such cells,
@@ -98,9 +95,6 @@ def main():
                     help="relative tolerance for digest numerics "
                          "(default %(default)g; the run is "
                          "deterministic, so keep this tight)")
-    ap.add_argument("--min-cells-per-sec", type=float, default=None,
-                    help="optional floor on the candidate's "
-                         "perf.cellsPerSec")
     args = ap.parse_args()
 
     base = load(args.baseline)
@@ -134,18 +128,6 @@ def main():
                 errors.append(
                     f"{cell}: {field} drifted "
                     f"{b.get(field)!r} -> {c.get(field)!r}")
-
-    bperf = base.get("perf", {})
-    cperf = cand.get("perf", {})
-    print(f"perf: baseline {bperf.get('cellsPerSec', 0):.2f} cells/s "
-          f"(-j{bperf.get('jobs', '?')}), candidate "
-          f"{cperf.get('cellsPerSec', 0):.2f} cells/s "
-          f"(-j{cperf.get('jobs', '?')})")
-    if args.min_cells_per_sec is not None:
-        got = float(cperf.get("cellsPerSec", 0.0))
-        if got < args.min_cells_per_sec:
-            errors.append(f"perf floor: {got:.2f} cells/s < "
-                          f"{args.min_cells_per_sec:.2f}")
 
     if errors:
         print(f"FAIL: {len(errors)} mismatch(es) vs {args.baseline}:")

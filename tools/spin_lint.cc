@@ -26,12 +26,9 @@
 #include "analysis/CdgAnalyzer.hh"
 #include "common/Logging.hh"
 #include "exp/ArgParse.hh"
+#include "exp/SweepSpec.hh"
 #include "fault/FaultSchedule.hh"
 #include "network/NetworkBuilder.hh"
-#include "topology/Dragonfly.hh"
-#include "topology/Mesh.hh"
-#include "topology/Ring.hh"
-#include "topology/Torus.hh"
 
 namespace
 {
@@ -58,83 +55,14 @@ struct Options
     bool help = false;
 };
 
-/** Parse "name:a,b,c" numeric parameters after the colon. */
-std::vector<int>
-specParams(const std::string &spec)
-{
-    std::vector<int> out;
-    const auto colon = spec.find(':');
-    if (colon == std::string::npos)
-        return out;
-    std::string rest = spec.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos < rest.size()) {
-        out.push_back(std::atoi(rest.c_str() + pos));
-        const auto comma = rest.find(',', pos);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
-std::shared_ptr<const Topology>
-makeTopology(const std::string &spec)
-{
-    const auto params = specParams(spec);
-    const std::string kind = spec.substr(0, spec.find(':'));
-    if (spec == "mesh8x8")
-        return std::make_shared<Topology>(makeMesh(8, 8));
-    if (kind == "mesh" && params.size() == 2)
-        return std::make_shared<Topology>(makeMesh(params[0], params[1]));
-    if (kind == "torus" && params.size() == 2)
-        return std::make_shared<Topology>(makeTorus(params[0], params[1]));
-    if (kind == "ring" && params.size() == 1)
-        return std::make_shared<Topology>(makeRing(params[0]));
-    if (kind == "dragonfly" && params.empty())
-        return std::make_shared<Topology>(makeDragonfly(2, 4, 2, 9));
-    if (kind == "dragonfly" && params.size() == 4) {
-        return std::make_shared<Topology>(makeDragonfly(
-            params[0], params[1], params[2], params[3]));
-    }
-    SPIN_FATAL("unknown topology spec '", spec, "'");
-}
-
-RoutingKind
-routingKindOf(const std::string &name)
-{
-    for (const RoutingKind k :
-         {RoutingKind::XyDor, RoutingKind::WestFirst,
-          RoutingKind::MinimalAdaptive, RoutingKind::EscapeVc,
-          RoutingKind::TorusBubble, RoutingKind::UgalDally,
-          RoutingKind::UgalSpin, RoutingKind::FavorsMin,
-          RoutingKind::FavorsNMin}) {
-        if (toString(k) == name)
-            return k;
-    }
-    SPIN_FATAL("unknown routing '", name, "'");
-}
-
-DeadlockScheme
-schemeOf(const std::string &name)
-{
-    if (name == "none")
-        return DeadlockScheme::None;
-    if (name == "spin")
-        return DeadlockScheme::Spin;
-    if (name == "static-bubble")
-        return DeadlockScheme::StaticBubble;
-    SPIN_FATAL("unknown scheme '", name, "'");
-}
-
 /** A row is healthy when the declaration matches the verdict and any
  *  configured recovery scheme actually certifies freedom. */
 bool
-rowOk(const AnalysisReport &rep, DeadlockScheme scheme)
+rowOk(const AnalysisReport &rep)
 {
     if (!rep.contractOk)
         return false;
-    if (scheme != DeadlockScheme::None &&
+    if (rep.scheme != toString(DeadlockScheme::None) &&
         !analysis::verdictDeadlockFree(rep.verdict)) {
         return false;
     }
@@ -142,22 +70,28 @@ rowOk(const AnalysisReport &rep, DeadlockScheme scheme)
 }
 
 AnalysisReport
-runOne(const Options &o, const std::string &topoSpec,
+runOne(const Options &o, const std::string &topoName,
        const std::string &routingName, const std::string &schemeName,
        int vcs, std::string *dot)
 {
-    const RoutingKind kind = routingKindOf(routingName);
+    RoutingKind kind{};
+    if (!exp::routingKindFromString(routingName, kind))
+        SPIN_FATAL("unknown routing '", routingName, "'");
     NetworkConfig cfg;
+    if (!schemeFromString(schemeName, cfg.scheme))
+        SPIN_FATAL("unknown scheme '", schemeName, "'");
     cfg.name = "spin-lint";
     cfg.vnets = static_cast<int>(o.vnets);
     cfg.vcsPerVnet = vcs > 0 ? vcs : makeRouting(kind)->minVcsPerVnet();
-    cfg.scheme = schemeOf(schemeName);
     if (cfg.scheme == DeadlockScheme::StaticBubble)
         cfg.vcsPerVnet += 1; // the reserved VC rides on top
-    std::shared_ptr<const Topology> topo = makeTopology(topoSpec);
+    std::string err;
+    std::shared_ptr<const Topology> topo =
+        exp::makeTopologyByName(topoName, err);
+    if (!topo)
+        SPIN_FATAL(err);
     if (!o.faultsPath.empty()) {
         fault::FaultSchedule fs;
-        std::string err;
         if (!fault::FaultSchedule::fromFile(o.faultsPath, fs, err))
             SPIN_FATAL(err);
         const std::string verr = fs.validate(*topo);
@@ -206,23 +140,23 @@ const SweepRow kSweep[] = {
      Verdict::RecoverableSpin},
     {"FAvORS_NMin_mesh_SPIN", "mesh8x8", "favors-nmin", "spin", 0,
      Verdict::RecoverableSpin},
-    {"DOR_torus_none", "torus:4,4", "xy-dor", "none", 0,
+    {"DOR_torus_none", "torus4x4", "xy-dor", "none", 0,
      Verdict::Deadlockable},
-    {"TorusBubble", "torus:4,4", "torus-bubble-dor", "none", 0,
+    {"TorusBubble", "torus4x4", "torus-bubble-dor", "none", 0,
      Verdict::FlowControlProtected},
-    {"TorusBubble_8x8", "torus:8,8", "torus-bubble-dor", "none", 0,
+    {"TorusBubble_8x8", "torus8x8", "torus-bubble-dor", "none", 0,
      Verdict::FlowControlProtected},
-    {"DOR_ring", "ring:8", "xy-dor", "none", 0, Verdict::Deadlockable},
-    {"MinAdaptive_ring_SPIN", "ring:8", "minimal-adaptive", "spin", 0,
+    {"DOR_ring", "ring8", "xy-dor", "none", 0, Verdict::Deadlockable},
+    {"MinAdaptive_ring_SPIN", "ring8", "minimal-adaptive", "spin", 0,
      Verdict::RecoverableSpin},
-    {"UGAL_Dally_dfly", "dragonfly", "ugal-dally", "none", 0,
+    {"UGAL_Dally_dfly", "dragonfly-p2a4h2g9", "ugal-dally", "none", 0,
      Verdict::Acyclic},
-    {"UGAL_dfly_SPIN", "dragonfly", "ugal-spin", "spin", 3,
+    {"UGAL_dfly_SPIN", "dragonfly-p2a4h2g9", "ugal-spin", "spin", 3,
      Verdict::RecoverableSpin},
-    {"MinAdaptive_dfly_SPIN", "dragonfly", "minimal-adaptive", "spin", 0,
-     Verdict::RecoverableSpin},
-    {"FAvORS_NMin_dfly_SPIN", "dragonfly", "favors-nmin", "spin", 0,
-     Verdict::RecoverableSpin},
+    {"MinAdaptive_dfly_SPIN", "dragonfly-p2a4h2g9", "minimal-adaptive",
+     "spin", 0, Verdict::RecoverableSpin},
+    {"FAvORS_NMin_dfly_SPIN", "dragonfly-p2a4h2g9", "favors-nmin", "spin",
+     0, Verdict::RecoverableSpin},
 };
 
 bool
@@ -248,8 +182,7 @@ runSweep(const Options &o)
             analysis::verdictSelfSufficient(rep.verdict) ||
             (!rep.witnesses.empty() &&
              rep.witnesses.front().verified);
-        const bool ok = rowOk(rep, schemeOf(row.scheme)) &&
-                        verdictMatch && witnessesOk;
+        const bool ok = rowOk(rep) && verdictMatch && witnessesOk;
         if (!ok)
             ++failures;
         if (!ok || !o.quiet) {
@@ -312,7 +245,7 @@ runSingle(const Options &o)
         std::fprintf(stderr, "cannot write %s\n", o.jsonPath.c_str());
         return 1;
     }
-    return rowOk(rep, schemeOf(o.scheme)) ? 0 : 1;
+    return rowOk(rep) ? 0 : 1;
 }
 
 } // namespace
@@ -323,9 +256,10 @@ main(int argc, char **argv)
     Options o;
     const std::vector<exp::ArgSpec> specs = {
         exp::argStr("--topology", &o.topology,
-                    "mesh8x8 | mesh:X,Y | torus:X,Y | ring:N | dragonfly | "
-                    "dragonfly:p,a,h,g (default mesh8x8)",
-                    "SPEC"),
+                    "mesh<X>x<Y> | torus<X>x<Y> | ring<N> | dragonfly | "
+                    "dragonfly-p<P>a<A>h<H>g<G>, as in spin_sweep specs "
+                    "(default mesh8x8)",
+                    "NAME"),
         exp::argStr("--routing", &o.routing,
                     "xy-dor | west-first | minimal-adaptive | escape-vc | "
                     "torus-bubble-dor | ugal-dally | ugal-spin | favors-min "

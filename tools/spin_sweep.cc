@@ -8,9 +8,9 @@
  * front-end for the paper's campaign figures (6, 7, 8b, 9): it prints
  * every spec's latency series, saturation summary, link-utilization
  * breakdown and spin counts. The aggregate is bit-identical for any -j;
- * wall-clock performance is reported separately (stdout and, with
- * --bench-json, as the BENCH_sweep.json baseline record CI gates
- * against).
+ * wall-clock performance goes to stdout only. --bench-json writes the
+ * per-cell digest CI gates against (bench/BENCH_sweep.json), plus the
+ * phase profile under --profile.
  *
  *   spin_sweep --spec fig07 -j4 --out sweep-out/fig07
  *   spin_sweep --spec ci-smoke -j2 --json results.json --resume
@@ -57,13 +57,11 @@ listBuiltins()
 }
 
 /**
- * The BENCH_sweep.json record: a deterministic per-cell digest (the
- * tolerance gate) plus the measured throughput of this run (the perf
- * trajectory). tools/check_sweep_baseline.py compares two of these.
+ * The BENCH_sweep.json record: a deterministic per-cell digest that
+ * tools/check_sweep_baseline.py compares against the committed one.
  */
 obs::JsonValue
-benchRecord(const SweepSpec &spec, const obs::JsonValue &results,
-            const CampaignPerf &perf, int jobs, int threads)
+benchRecord(const SweepSpec &spec, const obs::JsonValue &results)
 {
     using obs::JsonValue;
     JsonValue root = JsonValue::object();
@@ -82,10 +80,6 @@ benchRecord(const SweepSpec &spec, const obs::JsonValue &results,
         digest.push(std::move(d));
     }
     root.set("digest", std::move(digest));
-    JsonValue p = perf.toJson();
-    p.set("jobs", JsonValue(jobs));
-    p.set("threads", JsonValue(threads));
-    root.set("perf", std::move(p));
     return root;
 }
 
@@ -122,7 +116,8 @@ main(int argc, char **argv)
         argStr("--json", &jsonPath,
                "aggregated results JSON (default <out>/results.json)"),
         argStr("--bench-json", &benchJsonPath,
-               "write the perf/baseline record (BENCH_sweep.json format)"),
+               "write the digest record (BENCH_sweep.json format), plus "
+               "the phase profile under --profile"),
         argU64("--warmup", &warmup, "override the spec's warmup window",
                &warmupSet),
         argU64("--measure", &measure, "override the spec's measure window",
@@ -266,10 +261,9 @@ main(int argc, char **argv)
             std::printf("wrote %s\n", jsonPath.c_str());
     }
     if (!benchJsonPath.empty()) {
-        obs::JsonValue rec =
-            benchRecord(spec, results, perf, static_cast<int>(jobs),
-                        static_cast<int>(threads));
-        // Wall-clock only; the baseline checker never reads it.
+        obs::JsonValue rec = benchRecord(spec, results);
+        // Wall-clock only: the baseline checker never reads it, and
+        // tools/check_metrics_overhead.py gates its telemetry share.
         if (profile)
             rec.set("profile", campaign.profile().toJson());
         ok = writeJsonFile(benchJsonPath, rec) && ok;
