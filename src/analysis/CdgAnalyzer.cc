@@ -7,7 +7,6 @@
 #include "common/Logging.hh"
 #include "network/Network.hh"
 #include "routing/RoutingAlgorithm.hh"
-#include "routing/WestFirst.hh"
 
 namespace spin::analysis
 {
@@ -191,13 +190,17 @@ CdgAnalyzer::verifyWitness(const std::vector<int> &nodes) const
 bool
 CdgAnalyzer::staticBubbleLayerAcyclic() const
 {
-    // Recovery packets drain on the reserved VC along west-first
-    // routes (Router::routeVc); the layer is safe iff that route
-    // function is cycle-free on this topology's link graph.
+    // Recovery packets drain on the reserved VC along the ports the
+    // routing layer gives them (headPorts() on the recovery network);
+    // the layer is safe iff that route function is cycle-free on this
+    // topology's link graph.
     const Topology &topo = net_.topo();
     if (!topo.mesh)
         return false;
-    const MeshInfo &m = *topo.mesh;
+    const RoutingAlgorithm &algo = net_.routing();
+    Packet pkt;
+    pkt.onEscape = true;
+    std::vector<PortId> ports;
     const int numLinks = static_cast<int>(topo.links().size());
     Digraph layer(numLinks);
     std::set<std::pair<int, int>> seen;
@@ -205,11 +208,12 @@ CdgAnalyzer::staticBubbleLayerAcyclic() const
         for (RouterId d = 0; d < topo.numRouters(); ++d) {
             if (r == d)
                 continue;
+            pkt.destRouter = d;
             int prev = -1;
             RouterId cur = r;
             while (cur != d) {
-                const PortId p = westFirstNextPort(m, cur, d);
-                const int link = net_.linkIndexOf(cur, p);
+                algo.headPorts(pkt, net_.router(cur), d, ports);
+                const int link = net_.linkIndexOf(cur, ports[0]);
                 if (link < 0)
                     return false; // route walks off the fabric
                 if (prev >= 0 && seen.emplace(prev, link).second)
@@ -355,10 +359,9 @@ CdgAnalyzer::analyze(VnetId vnet, std::uint64_t max_states)
             // Normal traffic must never touch the reserved VC, and the
             // reserved west-first drain layer must be acyclic.
             bool reservedClean = true;
+            const VcId reserved = reservedVc(cfg, vnet);
             for (int node = 0; node < cdg_.numNodes(); ++node) {
-                if (cdg_.nodeUsed[node] &&
-                    cdg_.vcOf(node) % cfg.vcsPerVnet ==
-                        cfg.vcsPerVnet - 1) {
+                if (cdg_.nodeUsed[node] && cdg_.vcOf(node) == reserved) {
                     reservedClean = false;
                     break;
                 }

@@ -155,7 +155,8 @@ class CdgAnalyzer
     /** Re-execute the routing function along @p nodes; true when every
      *  edge of the cycle is reproduced. */
     bool verifyWitness(const std::vector<int> &nodes) const;
-    /** Static Bubble reserved west-first layer is acyclic. */
+    /** Static Bubble's recovery layer (the ports headPorts() gives a
+     *  recovery packet) is acyclic. */
     bool staticBubbleLayerAcyclic() const;
     int probeBudget() const;
 };

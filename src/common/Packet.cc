@@ -38,32 +38,6 @@ Flit::toString() const
     return os.str();
 }
 
-namespace
-{
-
-/** splitmix64 finalizer: cheap, well-mixed payload/checksum hash. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
-std::uint32_t
-Flit::flitCrc(const Flit &f)
-{
-    const Packet &p = *f.pkt;
-    std::uint64_t h = mix64(static_cast<std::uint64_t>(p.src) ^
-                            (static_cast<std::uint64_t>(p.dest) << 16) ^
-                            (p.e2eSeq << 32));
-    h = mix64(h ^ static_cast<std::uint64_t>(f.seq) ^ f.payload);
-    return static_cast<std::uint32_t>(h ^ (h >> 32));
-}
-
 void
 makeFlitsInto(const PacketPtr &pkt, std::vector<Flit> &flits)
 {
@@ -80,13 +54,7 @@ makeFlitsInto(const PacketPtr &pkt, std::vector<Flit> &flits)
             t = FlitType::Tail;
         else
             t = FlitType::Body;
-        Flit f{pkt, t, i};
-        f.payload = mix64((static_cast<std::uint64_t>(pkt->src) << 40) ^
-                          (static_cast<std::uint64_t>(pkt->dest) << 20) ^
-                          (pkt->e2eSeq << 4) ^
-                          static_cast<std::uint64_t>(i));
-        f.crc = Flit::flitCrc(f);
-        flits.push_back(std::move(f));
+        flits.push_back(Flit{pkt, t, i});
     }
 }
 

@@ -64,7 +64,10 @@ struct Packet
 
     /// @name Fault-injection marks (src/fault)
     /// @{
-    /** A transient fault corrupted a flit of this packet in flight. */
+    /** A transient fault corrupted a flit of this packet in flight and
+     *  no link-level retry repaired it. The packet's one corruption
+     *  mark: the destination NIC rejects a marked packet as a failed
+     *  end-to-end check (reliability on). */
     bool corrupted = false;
     /** A transient fault marked this packet for discard at the
      *  destination NIC (it still ejects; only accounting differs). */
@@ -112,24 +115,11 @@ struct Flit
     /** Cycle this flit arrived at the current router (1-cycle router:
      *  a flit may not leave the cycle it arrives). */
     Cycle arrivedAt = 0;
-    /** Modeled payload word, stamped by makeFlits; link faults flip
-     *  bits in it so the checksum below genuinely fails. */
-    std::uint64_t payload = 0;
-    /** Checksum over (packet identity, seq, payload), stamped at flit
-     *  creation and verified per hop by the link-retry layer and at
-     *  ejection by the destination NIC (reliability on). */
-    std::uint32_t crc = 0;
 
     bool isHead() const { return isHeadFlit(type); }
     bool isTail() const { return isTailFlit(type); }
 
-    /** True when crc still matches the (possibly corrupted) payload. */
-    bool crcOk() const { return crc == flitCrc(*this); }
-
     std::string toString() const;
-
-    /** Reference checksum of @p f's identity + payload. */
-    static std::uint32_t flitCrc(const Flit &f);
 };
 
 /**

@@ -30,7 +30,6 @@ class RotatingPriority
     /** Dynamic priority of router @p r at cycle @p now, in [0, N). */
     int priorityOf(RouterId r, Cycle now) const;
 
-    Cycle epochLength() const { return epochLen_; }
     /** Cycles for priorities to complete one full rotation. */
     Cycle fullRotation() const { return epochLen_ * n_; }
 

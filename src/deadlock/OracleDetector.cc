@@ -1,11 +1,8 @@
 #include "deadlock/OracleDetector.hh"
 
-#include "common/Logging.hh"
-#include "fault/FaultInjector.hh"
 #include "network/Network.hh"
 #include "router/Router.hh"
 #include "routing/RoutingAlgorithm.hh"
-#include "routing/WestFirst.hh"
 
 namespace spin
 {
@@ -14,9 +11,8 @@ DeadlockReport
 OracleDetector::detect() const
 {
     const Topology &topo = net_.topo();
-    const NetworkConfig &cfg = net_.config();
     const int nr = topo.numRouters();
-    const int vcs = cfg.totalVcs();
+    const int vcs = net_.config().totalVcs();
 
     // Flat index over (router, inport, vc).
     std::vector<int> base(nr + 1, 0);
@@ -58,97 +54,40 @@ OracleDetector::detect() const
         }
     }
 
+    // A blocked head can progress when one of the ports the router
+    // would let it request leads to a downstream VC it may take that
+    // is idle or itself progresses. The options come from the router's
+    // own query, so the oracle judges exactly the rules route compute
+    // follows; it never calls select(), which would draw randomness.
     const RoutingAlgorithm &algo = net_.routing();
-    const fault::FaultInjector *fi = net_.faults();
-    const bool faulty = fi && fi->anyPermanent();
-    std::vector<PortId> cands;
+    std::vector<PortId> ports;
     std::vector<VcId> allowed;
+    const auto canProgress = [&](const Blocked &b) {
+        const Router &rt = net_.router(b.r);
+        const Packet &pkt = *rt.input(b.inport).vc(b.vc).owner();
+        if (rt.routeOptions(pkt, ports).status ==
+            Router::RouteStatus::Unreachable)
+            return true; // the router purges the packet: progress
+        for (const PortId o : ports) {
+            const LinkSpec *l = topo.outLink(b.r, o);
+            if (!l)
+                continue;
+            algo.headVcs(pkt, rt, o, allowed);
+            for (const VcId dv : allowed) {
+                if (!net_.router(l->dst).input(l->dstPort).vc(dv).active() ||
+                    prog[idx(l->dst, l->dstPort, dv)])
+                    return true;
+            }
+        }
+        return false;
+    };
 
     bool changed = true;
     while (changed) {
         changed = false;
         for (const Blocked &b : blocked) {
             char &flag = prog[idx(b.r, b.inport, b.vc)];
-            if (flag)
-                continue;
-            const Router &rt = net_.router(b.r);
-            const Packet &pkt = *rt.input(b.inport).vc(b.vc).owner();
-
-            // Candidate output ports mirror Router::routeVc.
-            if (cfg.scheme == DeadlockScheme::StaticBubble &&
-                pkt.onEscape) {
-                cands.clear();
-                cands.push_back(westFirstNextPort(*topo.mesh, b.r,
-                                                  pkt.destRouter));
-            } else {
-                RouterId target =
-                    (pkt.intermediate != kInvalidId && !pkt.phaseTwo &&
-                     pkt.intermediate != b.r)
-                    ? pkt.intermediate
-                    : pkt.destRouter;
-                if (faulty && target != pkt.destRouter &&
-                    fi->degradedDistance(b.r, target) < 0)
-                    target = pkt.destRouter; // detour abandoned
-                algo.candidates(pkt, rt, target, cands);
-                if (faulty) {
-                    // Mirror Router::filterFaultyPorts: keep only live
-                    // ports that strictly reduce the degraded distance,
-                    // else fall back to the degraded minimal tables. An
-                    // unreachable target means the router purges the
-                    // packet, which is progress, not deadlock.
-                    const int dh = fi->degradedDistance(b.r, target);
-                    if (dh < 0) {
-                        flag = 1;
-                        changed = true;
-                        continue;
-                    }
-                    std::size_t w = 0;
-                    for (const PortId c : cands) {
-                        if (!fi->outPortAlive(b.r, c))
-                            continue;
-                        const LinkSpec *l = topo.outLink(b.r, c);
-                        if (!l || fi->degradedDistance(l->dst, target) !=
-                                      dh - 1)
-                            continue;
-                        cands[w++] = c;
-                    }
-                    if (w != 0) {
-                        cands.resize(w);
-                    } else {
-                        const PortSet mp =
-                            fi->degraded().minimalPorts(b.r, target);
-                        cands.assign(mp.begin(), mp.end());
-                    }
-                }
-            }
-
-            bool can = false;
-            for (const PortId o : cands) {
-                const LinkSpec *l = topo.outLink(b.r, o);
-                if (!l)
-                    continue;
-                if (cfg.scheme == DeadlockScheme::StaticBubble &&
-                    pkt.onEscape) {
-                    allowed.clear();
-                    allowed.push_back(pkt.vnet * cfg.vcsPerVnet +
-                                      cfg.vcsPerVnet - 1);
-                } else {
-                    algo.allowedVcs(pkt, rt, o, allowed);
-                    applyVcReservation(net_, pkt, allowed);
-                }
-                for (const VcId dv : allowed) {
-                    const VirtualChannel &down =
-                        net_.router(l->dst).input(l->dstPort).vc(dv);
-                    if (!down.active() ||
-                        prog[idx(l->dst, l->dstPort, dv)]) {
-                        can = true;
-                        break;
-                    }
-                }
-                if (can)
-                    break;
-            }
-            if (can) {
+            if (!flag && canProgress(b)) {
                 flag = 1;
                 changed = true;
             }

@@ -3,6 +3,7 @@
 #include "common/Logging.hh"
 #include "network/Network.hh"
 #include "router/Router.hh"
+#include "routing/RoutingAlgorithm.hh"
 
 namespace spin
 {
@@ -52,9 +53,7 @@ StaticBubbleUnit::tick(Cycle now)
             // if it is free; otherwise keep waiting (the reserved
             // network drains, so it frees up eventually).
             const PortId o = ch.request;
-            const Packet &pkt = *ch.owner();
-            const VcId reserved =
-                pkt.vnet * cfg.vcsPerVnet + cfg.vcsPerVnet - 1;
+            const VcId reserved = reservedVc(cfg, ch.owner()->vnet);
             if (rt.output(o).isIdle(reserved)) {
                 rt.grantReserved(p, v, o, reserved);
                 since = kNeverCycle;

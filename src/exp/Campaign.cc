@@ -227,15 +227,7 @@ Campaign::runCell(const SweepSpec &spec, const Cell &cell,
     c.set("throughput", JsonValue(throughput));
     c.set("saturated", JsonValue(saturated));
     c.set("stats", net->stats().toJson());
-
-    const LinkUsage u = net->linkUsage();
-    JsonValue lu = JsonValue::object();
-    lu.set("flitCycles", JsonValue(u.flitCycles));
-    lu.set("probeCycles", JsonValue(u.probeCycles));
-    lu.set("moveCycles", JsonValue(u.moveCycles));
-    lu.set("idleCycles", JsonValue(u.idleCycles));
-    lu.set("totalCycles", JsonValue(u.totalCycles));
-    c.set("linkUsage", std::move(lu));
+    c.set("linkUsage", net->linkUsage().toJson());
     return c;
 }
 

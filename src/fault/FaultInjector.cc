@@ -31,9 +31,6 @@ toUnit(std::uint64_t h)
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/** Flip payload bits so the flit's CRC genuinely fails. */
-constexpr std::uint64_t kPoison = 0xdeadbeefcafef00dull;
-
 } // namespace
 
 FaultInjector::FaultInjector(Network &net, FaultSchedule schedule)
@@ -224,8 +221,6 @@ FaultInjector::applyFlaky(const FaultEvent &e)
 void
 FaultInjector::noteApplied(const FaultEvent &e, Cycle now)
 {
-    lastApplied_ = &concrete_[nextIdx_];
-
     if (obs::Tracer *t = net_.trace()) {
         obs::TraceEvent te;
         te.cycle = now;
@@ -283,7 +278,7 @@ FaultInjector::traceFlitEvent(const char *name, int li, const Packet &pkt,
 }
 
 Cycle
-FaultInjector::onFlitTraverse(int li, Flit &f, Packet &pkt, Cycle now)
+FaultInjector::onFlitTraverse(int li, Packet &pkt, Cycle now)
 {
     const auto i = static_cast<std::size_t>(li);
     bool oneShot = false;
@@ -301,7 +296,6 @@ FaultInjector::onFlitTraverse(int li, Flit &f, Packet &pkt, Cycle now)
             // as-is.
             if (oneShot || corruptAttempt(i, now)) {
                 pkt.corrupted = true;
-                f.payload ^= kPoison;
                 traceFlitEvent("flit_corrupt", li, pkt, now, -1);
             }
         } else {
@@ -332,7 +326,6 @@ FaultInjector::onFlitTraverse(int li, Flit &f, Packet &pkt, Cycle now)
                     st.linkRetries +=
                         static_cast<std::uint64_t>(rel.maxLinkRetries);
                     pkt.corrupted = true;
-                    f.payload ^= kPoison;
                     traceFlitEvent("flit_corrupt", li, pkt, now, n);
                 }
             }

@@ -85,16 +85,16 @@ class FaultInjector
      * Transient-fault hook: called by Router::sendFlit for every flit
      * entering link @p li. Consumes pending corrupt/drop arms and
      * evaluates the link's outage / flaky state. With the reliability
-     * layer off, a corrupted transmission poisons the flit in place
+     * layer off, a corrupted transmission marks the packet corrupted
      * (legacy behavior). With it on, corrupted transmissions are
      * retried up to reliability.maxLinkRetries times -- modeled
      * analytically as an arrival delay of one link round trip per
-     * failed attempt -- and only a retry-exhausted flit is delivered
-     * poisoned for the end-to-end layer to recover.
+     * failed attempt -- and only a retry-exhausted flit marks the
+     * packet corrupted for the end-to-end layer to recover.
      *
      * @return extra arrival delay in cycles (0 on the fault-free path).
      */
-    Cycle onFlitTraverse(int li, Flit &f, Packet &pkt, Cycle now);
+    Cycle onFlitTraverse(int li, Packet &pkt, Cycle now);
 
     /**
      * Transient-fault hook for the SPIN rotation path
@@ -108,8 +108,6 @@ class FaultInjector
 
     /** Concrete (macro-expanded) event list, sorted by cycle. */
     const std::vector<FaultEvent> &events() const { return concrete_; }
-    /** Most recently applied event, nullptr before the first. */
-    const FaultEvent *lastApplied() const { return lastApplied_; }
     /** Events applied so far. */
     std::size_t applied() const { return nextIdx_; }
 
@@ -138,7 +136,6 @@ class FaultInjector
     std::vector<char> failedLink_;
     std::vector<char> deadRouter_;
     bool anyPermanent_ = false;
-    const FaultEvent *lastApplied_ = nullptr;
 
     /** Per-link armed transient counts, consumed by onFlitTraverse. */
     std::vector<int> pendingCorrupt_;

@@ -288,7 +288,7 @@ FaultSchedule::fromJson(const obs::JsonValue &doc, FaultSchedule &out,
             e.count = static_cast<int>(v);
             if (!wantInt(ev, "seed", v, err, i))
                 return false;
-            e.seed = static_cast<std::uint64_t>(v);
+            e.seed = ev["seed"].asU64(); // all 64 bits, exactly
             break;
           case FaultKind::LinkOutage:
             if (!wantInt(ev, "src", v, err, i))
@@ -348,7 +348,7 @@ FaultSchedule::fromJson(const obs::JsonValue &doc, FaultSchedule &out,
             e.count = static_cast<int>(v);
             if (!wantInt(ev, "seed", v, err, i))
                 return false;
-            e.seed = static_cast<std::uint64_t>(v);
+            e.seed = ev["seed"].asU64(); // all 64 bits, exactly
             if (!wantInt(ev, "window", v, err, i) || v < 1) {
                 if (err.empty())
                     err = "faults: event " + std::to_string(i) +

@@ -99,9 +99,7 @@ class Link
         everArrived_ = true;
     }
 
-    std::vector<LinkFlit> drainFlits(Cycle now) { return flits_.drain(now); }
-
-    /** Allocation-free drain for the per-cycle path. */
+    /** Hand every flit arrived by @p now to @p fn, oldest first. */
     template <typename F>
     void
     drainFlitsInto(Cycle now, F &&fn)
@@ -118,13 +116,7 @@ class Link
         credits_.push(arrival, c);
     }
 
-    std::vector<CreditMsg>
-    drainCredits(Cycle now)
-    {
-        return credits_.drain(now);
-    }
-
-    /** Allocation-free drain for the per-cycle path. */
+    /** Hand every credit arrived by @p now to @p fn, oldest first. */
     template <typename F>
     void
     drainCreditsInto(Cycle now, F &&fn)

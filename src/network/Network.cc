@@ -89,10 +89,9 @@ Network::Network(std::shared_ptr<const Topology> topo,
     // minVcsPerVnet() is authoritative: under-provisioning would void
     // the deadlock-freedom argument the algorithm's selfDeadlockFree()
     // declaration rests on (spin_lint verifies the declarations
-    // statically). Static Bubble strips one reserved VC per vnet from
-    // normal traffic (applyVcReservation), so it must not count.
-    const int reservedVcs =
-        cfg_.scheme == DeadlockScheme::StaticBubble ? 1 : 0;
+    // statically). A VC the deadlock scheme reserves for recovery
+    // (reservedVc) is closed to normal traffic, so it must not count.
+    const int reservedVcs = reservedVc(cfg_, 0) != kInvalidId ? 1 : 0;
     if (cfg_.vcsPerVnet - reservedVcs < routing_->minVcsPerVnet()) {
         SPIN_FATAL(routing_->name(), " needs at least ",
                    routing_->minVcsPerVnet(),
@@ -441,6 +440,18 @@ Network::beginMeasurement()
         metrics_->onMeasurementBegin(clock_.now());
 }
 
+obs::JsonValue
+LinkUsage::toJson() const
+{
+    obs::JsonValue lu = obs::JsonValue::object();
+    lu.set("flitCycles", obs::JsonValue(flitCycles));
+    lu.set("probeCycles", obs::JsonValue(probeCycles));
+    lu.set("moveCycles", obs::JsonValue(moveCycles));
+    lu.set("idleCycles", obs::JsonValue(idleCycles));
+    lu.set("totalCycles", obs::JsonValue(totalCycles));
+    return lu;
+}
+
 LinkUsage
 Network::linkUsage() const
 {
@@ -515,14 +526,7 @@ Network::telemetryJson() const
     root.set("packetsInFlight", obs::JsonValue(inFlight_));
     root.set("stats", stats_.toJson());
 
-    const LinkUsage u = linkUsage();
-    obs::JsonValue lu = obs::JsonValue::object();
-    lu.set("flitCycles", obs::JsonValue(u.flitCycles));
-    lu.set("probeCycles", obs::JsonValue(u.probeCycles));
-    lu.set("moveCycles", obs::JsonValue(u.moveCycles));
-    lu.set("idleCycles", obs::JsonValue(u.idleCycles));
-    lu.set("totalCycles", obs::JsonValue(u.totalCycles));
-    root.set("linkUsage", std::move(lu));
+    root.set("linkUsage", linkUsage().toJson());
 
     if (forensics_)
         root.set("forensics", forensics_->toJson());

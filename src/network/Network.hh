@@ -96,6 +96,9 @@ struct LinkUsage
     {
         return totalCycles ? double(c) / totalCycles : 0.0;
     }
+
+    /** The "linkUsage" object of telemetry dumps and sweep cells. */
+    obs::JsonValue toJson() const;
 };
 
 /** See file comment. */

@@ -92,9 +92,9 @@ Nic::drainEjectWire(Cycle now)
             retireReliable(f, now);
             return;
         }
-        // A drop-marked packet is discarded by the end node (CRC
-        // reject); it still ejected, so flow control is untouched
-        // and only the accounting differs.
+        // A drop-marked packet is discarded by the end node; it still
+        // ejected, so flow control is untouched and only the
+        // accounting differs.
         if (f.pkt->faultDropped)
             ++net_.stats().packetsDroppedAtNic;
         net_.stats().onEject(*f.pkt);
@@ -110,10 +110,11 @@ Nic::retireReliable(const Flit &f, Cycle now)
 {
     Packet &p = *f.pkt;
     Stats &st = net_.stats();
-    if (p.faultDropped || p.corrupted || !f.crcOk()) {
-        // Checksum reject at the end node: discard without acking and
-        // let the source's timeout drive a retransmission. The copy
-        // still ejected, so flow control is untouched.
+    if (p.faultDropped || p.corrupted) {
+        // The end node rejects a corrupted or drop-marked copy:
+        // discard without acking and let the source's timeout drive a
+        // retransmission. The copy still ejected, so flow control is
+        // untouched.
         ++st.packetsDroppedAtNic;
         net_.notifyLost(f.pkt);
         return;
@@ -157,13 +158,6 @@ Nic::sendAck(const Packet &p, Cycle now)
         net_.topo().distance(router_, net_.nic(p.src).router());
     const Cycle delay = d < 0 ? 1 : static_cast<Cycle>(d) + 1;
     net_.nic(p.src).pushAck(now + delay, id_, p.e2eSeq);
-}
-
-void
-Nic::drainWires(Cycle now)
-{
-    drainArrivalWires(now);
-    drainEjectWire(now);
 }
 
 void
@@ -238,9 +232,8 @@ Nic::injectStep(Cycle now)
             pkt->sourceRouted = true;
         }
 
-        net_.routing().injectionVcs(*pkt, net_.router(router_),
-                                    scratchVcs_);
-        applyVcReservation(net_, *pkt, scratchVcs_);
+        net_.routing().headInjectionVcs(*pkt, net_.router(router_),
+                                        scratchVcs_);
         const VcId vc = tracker_.allocate(scratchVcs_, pkt->id, now);
         if (vc == kInvalidId)
             return; // no free VC at the local in-port yet

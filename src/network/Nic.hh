@@ -66,8 +66,6 @@ class Nic
      * in-flight accounting need one canonical order.
      */
     void drainEjectWire(Cycle now);
-    /** Both of the above; single-threaded convenience for tests. */
-    void drainWires(Cycle now);
     /** Try to push one flit of the current packet toward the router. */
     void injectStep(Cycle now);
     /**
@@ -149,7 +147,7 @@ class Nic
     VcId curVc_ = kInvalidId;
 
     OutputUnit tracker_;
-    /** Scratch for injectionVcs(), reused to avoid per-packet churn. */
+    /** Scratch for headInjectionVcs(), reused to avoid per-packet churn. */
     std::vector<VcId> scratchVcs_;
     DelayLine<LinkFlit> injWire_;
     DelayLine<Flit> ejectWire_;

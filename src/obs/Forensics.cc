@@ -243,10 +243,4 @@ Forensics::writeDot(const std::string &path, std::size_t index) const
     return static_cast<bool>(os);
 }
 
-bool
-Forensics::writeLastDot(const std::string &path) const
-{
-    return !records_.empty() && writeDot(path, records_.size() - 1);
-}
-
 } // namespace spin::obs

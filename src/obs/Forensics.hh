@@ -92,8 +92,6 @@ class Forensics
      * fault that preceded it.
      */
     void noteFault(Cycle cycle, std::string description);
-    const std::string &lastFault() const { return lastFaultDesc_; }
-    Cycle lastFaultCycle() const { return lastFaultCycle_; }
 
     const std::vector<LoopSnapshot> &records() const { return records_; }
     /** Snapshots discarded after the record cap filled. */
@@ -103,8 +101,6 @@ class Forensics
     JsonValue toJson() const;
     /** Write records_[index] as DOT. @return false on I/O failure. */
     bool writeDot(const std::string &path, std::size_t index) const;
-    /** Write the most recent snapshot as DOT. */
-    bool writeLastDot(const std::string &path) const;
 
   private:
     std::size_t maxRecords_;

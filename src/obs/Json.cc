@@ -1,6 +1,7 @@
 #include "obs/Json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -85,7 +86,12 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Type::Number:
-        appendNumber(out, num_);
+        if (!exact_)
+            appendNumber(out, num_);
+        else if (num_ < 0)
+            out += std::to_string(static_cast<std::int64_t>(int_));
+        else
+            out += std::to_string(int_);
         break;
       case Type::String:
         out += '"';
@@ -321,13 +327,24 @@ struct Parser
             out = JsonValue();
             return true;
         }
-        // Number.
+        // Number. An integer literal that fits 64 bits stays exact.
+        const char *first = text.c_str() + pos;
         char *end = nullptr;
-        const double d = std::strtod(text.c_str() + pos, &end);
-        if (end == text.c_str() + pos)
+        const double d = std::strtod(first, &end);
+        if (end == first)
             return fail("unexpected character");
         pos = static_cast<std::size_t>(end - text.c_str());
-        out = JsonValue(d);
+        const auto whole = [end](std::from_chars_result r) {
+            return r.ec == std::errc() && r.ptr == end;
+        };
+        std::uint64_t u = 0;
+        std::int64_t i = 0;
+        if (whole(std::from_chars(first, end, u)))
+            out = JsonValue(u);
+        else if (whole(std::from_chars(first, end, i)))
+            out = JsonValue(i);
+        else
+            out = JsonValue(d);
         return true;
     }
 };

@@ -19,9 +19,10 @@ namespace spin::obs
 
 /**
  * One JSON value. Objects preserve insertion order so dumped telemetry
- * is stable across runs (and diffs cleanly). Numbers are stored as
- * doubles; integral values are dumped without a decimal point, which
- * round-trips every counter below 2^53 exactly.
+ * is stable across runs (and diffs cleanly). A number built from a
+ * 64-bit integer, or parsed from an integer literal, keeps it exactly
+ * (seeds use all 64 bits); other numbers are doubles, dumped without a
+ * decimal point when integral.
  */
 class JsonValue
 {
@@ -39,11 +40,10 @@ class JsonValue
     JsonValue() = default;
     JsonValue(bool b) : type_(Type::Bool), bool_(b) {}
     JsonValue(double d) : type_(Type::Number), num_(d) {}
-    JsonValue(int i) : type_(Type::Number), num_(i) {}
+    JsonValue(int i) : JsonValue(static_cast<std::int64_t>(i)) {}
     JsonValue(std::int64_t i)
-        : type_(Type::Number), num_(static_cast<double>(i)) {}
-    JsonValue(std::uint64_t u)
-        : type_(Type::Number), num_(static_cast<double>(u)) {}
+        : JsonValue(static_cast<double>(i), static_cast<std::uint64_t>(i)) {}
+    JsonValue(std::uint64_t u) : JsonValue(static_cast<double>(u), u) {}
     JsonValue(const char *s) : type_(Type::String), str_(s) {}
     JsonValue(std::string s) : type_(Type::String), str_(std::move(s)) {}
 
@@ -60,7 +60,10 @@ class JsonValue
 
     bool asBool() const { return bool_; }
     double asNumber() const { return num_; }
-    std::uint64_t asU64() const { return static_cast<std::uint64_t>(num_); }
+    std::uint64_t asU64() const
+    {
+        return exact_ ? int_ : static_cast<std::uint64_t>(num_);
+    }
     const std::string &asString() const { return str_; }
 
     /// @name Array access
@@ -154,12 +157,17 @@ class JsonValue
 
   private:
     explicit JsonValue(Type t) : type_(t) {}
+    JsonValue(double d, std::uint64_t i)
+        : type_(Type::Number), exact_(true), num_(d), int_(i) {}
 
     void dumpTo(std::string &out, int indent, int depth) const;
 
     Type type_ = Type::Null;
     bool bool_ = false;
+    /** int_ holds the number exactly (two's complement when num_ < 0). */
+    bool exact_ = false;
     double num_ = 0.0;
+    std::uint64_t int_ = 0;
     std::string str_;
     std::vector<JsonValue> arr_;
     std::vector<std::pair<std::string, JsonValue>> members_;

@@ -8,7 +8,6 @@
 #include "network/Network.hh"
 #include "obs/Tracer.hh"
 #include "routing/RoutingAlgorithm.hh"
-#include "routing/WestFirst.hh"
 
 namespace spin
 {
@@ -140,94 +139,47 @@ Router::computeRoutes()
     }
 }
 
-bool
-Router::routeVc(PortId inport, VcId vcid)
+Router::RouteOptions
+Router::routeOptions(const Packet &pkt, std::vector<PortId> &out) const
 {
-    VirtualChannel &vc = inputs_[inport].vc(vcid);
-    Packet &pkt = *vc.owner();
-
-    PortId request;
     if (pkt.destRouter == id_) {
-        request = net_.topo().portOfNode(pkt.dest);
-    } else if (net_.config().scheme == DeadlockScheme::StaticBubble &&
-               pkt.onEscape) {
-        // Recovery packets drain on the reserved network via west-first.
-        // Not fault-filtered: the escape ring's deadlock freedom rests
-        // on the intact mesh, and spin_lint flags the degraded variant.
-        SPIN_ASSERT(net_.topo().mesh.has_value(),
-                    "static bubble escape requires a mesh");
-        request = westFirstNextPort(*net_.topo().mesh, id_, pkt.destRouter);
-    } else {
-        if (pkt.intermediate != kInvalidId && !pkt.phaseTwo &&
-            pkt.intermediate == id_) {
-            pkt.phaseTwo = true;
-        }
-        const bool faulty = faults_ && faults_->anyPermanent();
-        if (faulty && pkt.intermediate != kInvalidId && !pkt.phaseTwo &&
-            faults_->degradedDistance(id_, pkt.intermediate) < 0) {
-            // The phase-1 target died or got cut off: abandon the
-            // detour and head straight for the destination.
-            pkt.phaseTwo = true;
-        }
-        const RouterId target =
-            (pkt.intermediate != kInvalidId && !pkt.phaseTwo)
-            ? pkt.intermediate
-            : pkt.destRouter;
-        RoutingAlgorithm &algo = net_.routing();
-        algo.candidates(pkt, *this, target, scratchPorts_);
-        SPIN_ASSERT(!scratchPorts_.empty(), "routing produced no "
-                    "candidates at router ", id_, " for ", pkt.toString());
-        if (faulty && !filterFaultyPorts(vc, pkt, target))
-            return false;
-        request = algo.select(pkt, *this, scratchPorts_);
-
-        // Request hysteresis: adaptive selection runs every cycle, but
-        // a blocked head only re-targets a *different* port when that
-        // port actually has a free allowed VC. This keeps the buffer
-        // dependencies SPIN traces stable inside a deadlock (where no
-        // port has free VCs and re-selection would be a coin flip)
-        // without giving up any real adaptivity.
-        if (vc.routeValid && request != vc.request &&
-            !hasIdleAllowedVc(pkt, request)) {
-            bool still_candidate = false;
-            for (const PortId c : scratchPorts_)
-                still_candidate |= c == vc.request;
-            if (still_candidate)
-                request = vc.request;
-        }
+        out.assign(1, net_.topo().portOfNode(pkt.dest));
+        return {RouteStatus::Fixed, id_};
     }
+    const RoutingAlgorithm &algo = net_.routing();
+    if (algo.onRecoveryNetwork(pkt)) {
+        algo.headPorts(pkt, *this, pkt.destRouter, out);
+        return {RouteStatus::Fixed, pkt.destRouter};
+    }
+    const bool faulty = faults_ && faults_->anyPermanent();
+    RouterId target = pkt.destRouter;
+    if (pkt.intermediate != kInvalidId && !pkt.phaseTwo &&
+        pkt.intermediate != id_ &&
+        !(faulty && faults_->degradedDistance(id_, pkt.intermediate) < 0))
+        target = pkt.intermediate; // detour not yet reached nor cut off
+    algo.headPorts(pkt, *this, target, out);
+    SPIN_ASSERT(!out.empty(), "routing produced no candidates at router ",
+                id_, " for ", pkt.toString());
+    if (!faulty)
+        return {RouteStatus::Candidates, target};
 
-    vc.request = request;
-    vc.routeValid = true;
-    return true;
-}
-
-bool
-Router::filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
-                          RouterId target)
-{
     const int dh = faults_->degradedDistance(id_, target);
-    if (dh < 0)
-        return false; // no surviving path: unroutable
-
+    if (dh < 0) {
+        out.clear();
+        return {RouteStatus::Unreachable, target};
+    }
     // Keep only candidates whose link is alive AND strictly reduces
     // the degraded distance. The strict-decrease rule forfeits
     // non-minimal adaptivity under faults but guarantees progress
     // (no livelock between intact-table and degraded-table hops).
     const Topology &topo = net_.topo();
-    std::size_t w = 0;
-    for (const PortId c : scratchPorts_) {
-        if (!faults_->outPortAlive(id_, c))
-            continue;
+    std::erase_if(out, [&](PortId c) {
         const LinkSpec *l = topo.outLink(id_, c);
-        if (!l || faults_->degradedDistance(l->dst, target) != dh - 1)
-            continue;
-        scratchPorts_[w++] = c;
-    }
-    if (w != 0) {
-        scratchPorts_.resize(w);
-        return true;
-    }
+        return !faults_->outPortAlive(id_, c) || !l ||
+               faults_->degradedDistance(l->dst, target) != dh - 1;
+    });
+    if (!out.empty())
+        return {RouteStatus::Candidates, target};
 
     // The algorithm's candidates all died or detour: fall back to the
     // degraded minimal tables (alive by construction, non-empty since
@@ -235,8 +187,26 @@ Router::filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
     const PortSet mp = faults_->degraded().minimalPorts(id_, target);
     SPIN_ASSERT(!mp.empty(), "degraded tables empty despite dh=", dh,
                 " at router ", id_);
-    scratchPorts_.assign(mp.begin(), mp.end());
-    if (!vc.routeValid) {
+    out.assign(mp.begin(), mp.end());
+    return {RouteStatus::Degraded, target};
+}
+
+bool
+Router::routeVc(PortId inport, VcId vcid)
+{
+    VirtualChannel &vc = inputs_[inport].vc(vcid);
+    Packet &pkt = *vc.owner();
+    const RouteOptions o = routeOptions(pkt, scratchPorts_);
+    if (o.status == RouteStatus::Fixed) {
+        vc.request = scratchPorts_[0];
+        vc.routeValid = true;
+        return true;
+    }
+    if (pkt.intermediate != kInvalidId && o.target != pkt.intermediate)
+        pkt.phaseTwo = true; // the detour was reached or abandoned
+    if (o.status == RouteStatus::Unreachable)
+        return false;
+    if (o.status == RouteStatus::Degraded && !vc.routeValid) {
         ++net_.stats().packetsRerouted;
         if (obs::Tracer *t = net_.trace()) {
             obs::TraceEvent e;
@@ -245,10 +215,28 @@ Router::filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
             e.name = "reroute";
             e.router = id_;
             e.packet = pkt.id;
-            e.arg0 = target;
+            e.arg0 = o.target;
             t->record(e);
         }
     }
+    PortId request = net_.routing().select(pkt, *this, scratchPorts_);
+
+    // Request hysteresis: adaptive selection runs every cycle, but a
+    // blocked head only re-targets a *different* port when that port
+    // actually has a free allowed VC. This keeps the buffer
+    // dependencies SPIN traces stable inside a deadlock (where no port
+    // has free VCs and re-selection would be a coin flip) without
+    // giving up any real adaptivity.
+    if (vc.routeValid && request != vc.request &&
+        !hasIdleAllowedVc(pkt, request)) {
+        bool still_candidate = false;
+        for (const PortId c : scratchPorts_)
+            still_candidate |= c == vc.request;
+        if (still_candidate)
+            request = vc.request;
+    }
+    vc.request = request;
+    vc.routeValid = true;
     return true;
 }
 
@@ -294,8 +282,7 @@ Router::hasIdleAllowedVc(const Packet &pkt, PortId outport) const
     const OutputUnit &out = outputs_[outport];
     if (out.toNic())
         return true;
-    net_.routing().allowedVcs(pkt, *this, outport, scratchVcs_);
-    applyVcReservation(net_, pkt, scratchVcs_);
+    net_.routing().headVcs(pkt, *this, outport, scratchVcs_);
     for (const VcId v : scratchVcs_) {
         if (out.isIdle(v))
             return true;
@@ -321,15 +308,7 @@ Router::tryVcAllocation(PortId inport, VcId vcid)
     RoutingAlgorithm &algo = net_.routing();
     if (!out.toNic() && !algo.admission(pkt, *this, inport, vc.request))
         return; // flow-control gate (e.g. bubble condition)
-    if (net_.config().scheme == DeadlockScheme::StaticBubble &&
-        pkt.onEscape) {
-        scratchVcs_.clear();
-        const int per = net_.config().vcsPerVnet;
-        scratchVcs_.push_back(pkt.vnet * per + per - 1);
-    } else {
-        algo.allowedVcs(pkt, *this, vc.request, scratchVcs_);
-        applyVcReservation(net_, pkt, scratchVcs_);
-    }
+    algo.headVcs(pkt, *this, vc.request, scratchVcs_);
 
     const VcId granted = out.allocate(scratchVcs_, pkt.id, net_.now());
     if (granted != kInvalidId) {
@@ -457,7 +436,7 @@ Router::sendFlit(PortId inport, VcId vcid)
         Cycle extra = 0;
         if (faults_)
             extra = faults_->onFlitTraverse(
-                net_.linkIndexOf(id_, outport), f, *pkt, now);
+                net_.linkIndexOf(id_, outport), *pkt, now);
         outLink_[outport]->pushFlitDelayed(now, extra,
                                            LinkFlit{std::move(f), dvc});
     }

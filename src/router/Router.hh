@@ -108,6 +108,26 @@ class Router
     void allocateSwitch();
     /// @}
 
+    /** How a head may leave this router; see routeOptions(). */
+    enum class RouteStatus : std::uint8_t
+    {
+        Fixed,       //!< ejecting or on the recovery network: one port
+        Candidates,  //!< the routing layer's ports, fault-filtered
+        Degraded,    //!< faults left none: the degraded tables' ports
+        Unreachable, //!< no surviving path to the target: no port
+    };
+    struct RouteOptions
+    {
+        RouteStatus status;
+        /** Intermediate until reached or cut off, then destination. */
+        RouterId target;
+    };
+    /** Ports head @p pkt may request here, into @p out: headPorts()
+     *  toward the current target, fault-filtered. Route compute selects
+     *  among them; the deadlock oracle judges the same set. */
+    RouteOptions routeOptions(const Packet &pkt,
+                              std::vector<PortId> &out) const;
+
     /// @name Dependency queries (used by SPIN and the oracle detector)
     /// @{
     /**
@@ -213,11 +233,6 @@ class Router
     /** Compute/refresh the route request of one head VC. @return false
      *  when no surviving path to the target exists (caller purges). */
     bool routeVc(PortId inport, VcId vcid);
-    /** Restrict scratchPorts_ to alive, degraded-distance-decreasing
-     *  candidates (falling back to the degraded minimal tables).
-     *  @return false when @p target is unreachable. */
-    bool filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
-                           RouterId target);
     /** Retire the complete unroutable packet in (inport, vc): pop its
      *  flits, return credits, account it, drop it. Waits (no-op) until
      *  the whole packet has streamed into the VC. */

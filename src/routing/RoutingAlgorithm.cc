@@ -5,6 +5,7 @@
 #include "common/Logging.hh"
 #include "network/Network.hh"
 #include "router/Router.hh"
+#include "routing/WestFirst.hh"
 
 namespace spin
 {
@@ -45,8 +46,7 @@ RoutingAlgorithm::select(const Packet &pkt, const Router &r,
     PortId best = cands[0];
     Cycle best_active = kNeverCycle;
     for (const PortId c : cands) {
-        allowedVcs(pkt, r, c, allowed);
-        applyVcReservation(*net_, pkt, allowed);
+        headVcs(pkt, r, c, allowed);
         const OutputUnit &out = r.output(c);
         Cycle t_active = kNeverCycle;
         for (const VcId v : allowed) {
@@ -83,6 +83,51 @@ RoutingAlgorithm::injectionVcs(const Packet &pkt, const Router &r,
                                std::vector<VcId> &out) const
 {
     allowedVcs(pkt, r, kInvalidId, out);
+}
+
+bool
+RoutingAlgorithm::onRecoveryNetwork(const Packet &pkt) const
+{
+    return pkt.onEscape &&
+           net_->config().scheme == DeadlockScheme::StaticBubble;
+}
+
+void
+RoutingAlgorithm::headPorts(const Packet &pkt, const Router &r,
+                            RouterId target, std::vector<PortId> &out) const
+{
+    if (!onRecoveryNetwork(pkt)) {
+        candidates(pkt, r, target, out);
+        return;
+    }
+    // Recovery packets drain on the reserved network via west-first.
+    // Not fault-filtered: the escape ring's deadlock freedom rests on
+    // the intact mesh, and spin_lint flags the degraded variant.
+    SPIN_ASSERT(net_->topo().mesh.has_value(),
+                "static bubble escape requires a mesh");
+    out.assign(1, westFirstNextPort(*net_->topo().mesh, r.id(),
+                                    pkt.destRouter));
+}
+
+void
+RoutingAlgorithm::headVcs(const Packet &pkt, const Router &r,
+                          PortId outport, std::vector<VcId> &out) const
+{
+    const VcId reserved = reservedVc(net_->config(), pkt.vnet);
+    if (reserved != kInvalidId && pkt.onEscape) {
+        out.assign(1, reserved); // recovery packets ride it alone
+        return;
+    }
+    allowedVcs(pkt, r, outport, out);
+    std::erase(out, reserved);
+}
+
+void
+RoutingAlgorithm::headInjectionVcs(const Packet &pkt, const Router &r,
+                                   std::vector<VcId> &out) const
+{
+    injectionVcs(pkt, r, out);
+    std::erase(out, reservedVc(net_->config(), pkt.vnet));
 }
 
 bool
@@ -152,7 +197,7 @@ RoutingAlgorithm::enumerateHops(const RouteState &s,
 
     const Router &r = net_->router(s.router);
     std::vector<PortId> cands;
-    candidates(pkt, r, s.target, cands);
+    headPorts(pkt, r, s.target, cands);
     std::vector<VcId> vcs;
     for (const PortId p : cands) {
         const LinkSpec *l = net_->topo().outLink(s.router, p);
@@ -160,8 +205,7 @@ RoutingAlgorithm::enumerateHops(const RouteState &s,
             continue; // degraded topology: the link was cut by a fault
         SPIN_ASSERT(l, "candidate port ", p, " of router ", s.router,
                     " is unwired");
-        allowedVcs(pkt, r, p, vcs);
-        applyVcReservation(*net_, pkt, vcs);
+        headVcs(pkt, r, p, vcs);
         for (const VcId v : vcs) {
             // Advance the abstract state through the same hooks the
             // datapath fires, so scheme-specific transitions (escape
@@ -221,20 +265,12 @@ RoutingAlgorithm::vcsPerVnet() const
     return net_->config().vcsPerVnet;
 }
 
-void
-applyVcReservation(const Network &net, const Packet &pkt,
-                   std::vector<VcId> &vcs)
+VcId
+reservedVc(const NetworkConfig &cfg, VnetId vnet)
 {
-    const NetworkConfig &cfg = net.config();
     if (cfg.scheme != DeadlockScheme::StaticBubble)
-        return;
-    const int per = cfg.vcsPerVnet;
-    if (pkt.onEscape) {
-        // Recovery packets ride reserved VCs only.
-        std::erase_if(vcs, [per](VcId v) { return v % per != per - 1; });
-    } else {
-        std::erase_if(vcs, [per](VcId v) { return v % per == per - 1; });
-    }
+        return kInvalidId;
+    return vnet * cfg.vcsPerVnet + cfg.vcsPerVnet - 1;
 }
 
 } // namespace spin

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/Config.hh"
 #include "common/Packet.hh"
 #include "common/Types.hh"
 
@@ -148,6 +149,30 @@ class RoutingAlgorithm
     virtual bool admission(const Packet &pkt, const Router &r,
                            PortId inport, PortId outport) const;
 
+    /// @name A head's route options
+    /// The one definition the router, NICs, deadlock oracle and static
+    /// analyzer ask instead of the hooks above: those hooks plus the
+    /// deadlock scheme's rules. A Static Bubble recovery packet drains
+    /// west-first on its vnet's reserved VC; no other packet takes it.
+    /// @{
+    /** True when @p pkt drains on the scheme's recovery network: its
+     *  one headPorts() answer is never fault-filtered or re-selected. */
+    bool onRecoveryNetwork(const Packet &pkt) const;
+    /** Output ports @p pkt may request at @p r toward @p target, written
+     *  into @p out: candidates(), or the recovery network's port. */
+    void headPorts(const Packet &pkt, const Router &r, RouterId target,
+                   std::vector<PortId> &out) const;
+    /** Downstream VCs @p pkt may acquire leaving @p r via @p outport,
+     *  written into @p out: allowedVcs() without the reserved VC, or the
+     *  reserved VC alone on the recovery network. */
+    void headVcs(const Packet &pkt, const Router &r, PortId outport,
+                 std::vector<VcId> &out) const;
+    /** VCs a NIC may inject @p pkt into at its source router @p r,
+     *  written into @p out: injectionVcs() without the reserved VC. */
+    void headInjectionVcs(const Packet &pkt, const Router &r,
+                          std::vector<VcId> &out) const;
+    /// @}
+
     /** Hook: head flit committed to leave @p r via @p outport. */
     virtual void onHop(Packet &pkt, const Router &r, PortId outport) const;
 
@@ -169,9 +194,8 @@ class RoutingAlgorithm
     /**
      * Every (outport, downstream VC) channel a packet in state @p s may
      * demand next, with the state it would then be in. The default
-     * derives the set mechanically from candidates() x allowedVcs()
-     * (with the deadlock scheme's VC reservation applied) and advances
-     * the state through the onHop / onVcGranted hooks, so most
+     * derives the set mechanically from headPorts() x headVcs() and
+     * advances the state through the onHop / onVcGranted hooks, so most
      * algorithms need no override. Empty when @p s is terminal.
      */
     virtual void enumerateHops(const RouteState &s,
@@ -206,12 +230,11 @@ class RoutingAlgorithm
 };
 
 /**
- * Remove VCs the deadlock scheme reserves (Static Bubble keeps the last
- * VC of every vnet for recovery) from an allowed-VC list, unless the
- * packet is already on the recovery network.
+ * The VC of @p vnet the deadlock scheme reserves for recovery (Static
+ * Bubble keeps the last VC of every vnet), or kInvalidId when it
+ * reserves none.
  */
-void applyVcReservation(const Network &net, const Packet &pkt,
-                        std::vector<VcId> &vcs);
+VcId reservedVc(const NetworkConfig &cfg, VnetId vnet);
 
 } // namespace spin
 

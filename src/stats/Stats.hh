@@ -94,7 +94,7 @@
     X(packetsCorrupted, "faults.packetsCorrupted", Sum, Window, Pub)          \
     X(packetsDroppedAtNic, "faults.packetsDroppedAtNic", Sum, Window, Pub)    \
     /* End-to-end reliability (docs/FAULTS.md): corrupted transmissions */    \
-    /* caught by the per-hop checksum, link-level retries that */             \
+    /* detected at the receiving link end, link-level retries that */         \
     /* recovered a flit, timeout-driven retransmissions, duplicates */        \
     /* suppressed at the destination, delivered packets that needed */        \
     /* either, packets given up after maxRetransmits, and alarms of */        \

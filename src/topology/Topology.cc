@@ -172,14 +172,6 @@ Topology::outLink(RouterId r, PortId port) const
     return i < 0 ? nullptr : &links_[i];
 }
 
-const LinkSpec *
-Topology::inLink(RouterId r, PortId port) const
-{
-    checkFinalized();
-    const std::int32_t i = inLinkIdx_[portBase_[r] + port];
-    return i < 0 ? nullptr : &links_[i];
-}
-
 bool
 Topology::isNicPort(RouterId r, PortId port) const
 {

@@ -199,8 +199,6 @@ class Topology
 
     /** Link leaving (r, port), or nullptr when the out-port is unwired. */
     const LinkSpec *outLink(RouterId r, PortId port) const;
-    /** Link entering (r, port), or nullptr when the in-port is unwired. */
-    const LinkSpec *inLink(RouterId r, PortId port) const;
     /** True when @p port of @p r is a NIC (local) port. */
     bool isNicPort(RouterId r, PortId port) const;
 

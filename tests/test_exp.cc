@@ -421,6 +421,29 @@ TEST(CampaignTest, PeriodicAuditPassesOnCleanProtocol)
     EXPECT_EQ(a, b);
 }
 
+TEST(CampaignTest, RecordsCarryExactCellSeeds)
+{
+    // A cell must be rebuildable from its record: every 64-bit netSeed
+    // reads back exactly what expand() derived (ci-smoke cell 0's is
+    // above 2^63). Quarter scale, as spin_sweep --fast runs it.
+    SweepSpec spec;
+    ASSERT_TRUE(builtinSpec("ci-smoke", spec));
+    spec.warmup /= 4;
+    spec.measure /= 4;
+    const std::vector<Cell> cells = spec.expand();
+    CampaignOptions opt;
+    opt.jobs = 2;
+    std::string err;
+    const obs::JsonValue back =
+        obs::JsonValue::parse(Campaign(spec, opt).run().dump(2), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    const obs::JsonValue &records = back["cells"];
+    ASSERT_EQ(records.size(), cells.size());
+    EXPECT_GT(cells[0].netSeed, 1ull << 63);
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(records.at(i)["netSeed"].asU64(), cells[i].netSeed) << i;
+}
+
 TEST(CampaignTest, RunCellMatchesCampaignCell)
 {
     const SweepSpec spec = tinySpec();

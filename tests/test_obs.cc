@@ -59,6 +59,27 @@ TEST(Json, IntegralNumbersDumpWithoutDecimalPoint)
     EXPECT_EQ(JsonValue(1.5).dump(), "1.5");
 }
 
+TEST(Json, SixtyFourBitIntegersRoundTripExactly)
+{
+    // Cell seeds use all 64 bits; a double would round them.
+    const std::uint64_t seed = 15518180158896462913ull;
+    const JsonValue big(seed);
+    EXPECT_EQ(big.dump(), "15518180158896462913");
+    EXPECT_EQ(big.asU64(), seed);
+    const JsonValue neg(std::int64_t{-1});
+    EXPECT_EQ(neg.dump(), "-1");
+    EXPECT_EQ(neg.asNumber(), -1.0);
+
+    std::string err;
+    const JsonValue back =
+        JsonValue::parse("[15518180158896462913, -1, 2.5e3, 1e30]", &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(back.at(0).asU64(), seed);
+    EXPECT_EQ(back.at(1).asNumber(), -1.0);
+    EXPECT_EQ(back.at(2).asU64(), 2500u);
+    EXPECT_EQ(back.dump(), "[15518180158896462913,-1,2500,1e+30]");
+}
+
 TEST(Json, PreservesInsertionOrder)
 {
     JsonValue o = JsonValue::object();

@@ -53,13 +53,10 @@ ORANGE_INK_FLIP = 5
 FAULT_COUNTERS = ("faults.linksFailed", "faults.routersFailed",
                   "faults.transientFaults", "faults.packetsLostToFaults",
                   "faults.packetsCorrupted")
-# End-to-end reliability protocol activity (docs/FAULTS.md): summed into
+# End-to-end reliability protocol activity (docs/FAULTS.md): every
+# counter the stream header publishes under this prefix is summed into
 # its own KPI tile so a chaos run shows recovery work at a glance.
-RELIABILITY_COUNTERS = ("reliability.crcFails", "reliability.linkRetries",
-                        "reliability.retransmits", "reliability.dupDrops",
-                        "reliability.recoveredPackets",
-                        "reliability.packetsAbandoned",
-                        "reliability.watchdogAlarms")
+RELIABILITY_PREFIX = "reliability."
 
 
 def esc(s):
@@ -507,7 +504,9 @@ def stat_tiles(streams, deadlocks, faults):
     fevents = sum(w["counters"].get(k, 0) for s in streams.values()
                   for w in s["windows"] for k in FAULT_COUNTERS)
     relevents = sum(w["counters"].get(k, 0) for s in streams.values()
-                    for w in s["windows"] for k in RELIABILITY_COUNTERS)
+                    for k in (s["header"] or {}).get("counters", [])
+                    if k.startswith(RELIABILITY_PREFIX)
+                    for w in s["windows"])
     tiles = [("Cells", len(streams)), ("Windows", windows),
              ("Spins", spins),
              ("Fault events", fevents + len(faults)),
