@@ -14,13 +14,16 @@
  * documents why those are reasonable choices in this implementation.
  */
 
-#include "bench/BenchUtil.hh"
+#include <cstdio>
+
+#include "exp/RunOptions.hh"
+#include "network/NetworkBuilder.hh"
 #include "topology/Mesh.hh"
 #include "topology/Ring.hh"
 #include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
-using namespace spin::bench;
+using exp::RunOptions;
 
 namespace
 {
@@ -39,7 +42,7 @@ class Clockwise : public RoutingAlgorithm
 };
 
 Cycle
-ringRecoveryTime(Cycle t_dd, Cycle probe_move_delay, const Options &opt)
+ringRecoveryTime(Cycle t_dd, Cycle probe_move_delay, const RunOptions &opt)
 {
     auto topo = std::make_shared<Topology>(makeRing(8));
     NetworkConfig cfg;
@@ -61,7 +64,7 @@ ringRecoveryTime(Cycle t_dd, Cycle probe_move_delay, const Options &opt)
 }
 
 double
-meshThroughput(Cycle t_dd, Cycle measure, const Options &opt)
+meshThroughput(Cycle t_dd, Cycle measure, const RunOptions &opt)
 {
     auto topo = std::make_shared<Topology>(makeMesh(8, 8));
     NetworkConfig cfg;
@@ -93,12 +96,12 @@ meshThroughput(Cycle t_dd, Cycle measure, const Options &opt)
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(
+    const RunOptions opt = RunOptions::parse(
         argc, argv,
         {"--fast", "--seed", "--threads", "--reliability", "--json"});
     const Cycle measure = opt.fast ? 3000 : 10000;
 
-    BenchReporter report("ablation_spin_params", opt);
+    exp::BenchReporter report("ablation_spin_params", opt);
     obs::JsonValue tdd_rows = obs::JsonValue::array();
     obs::JsonValue delay_rows = obs::JsonValue::array();
 
@@ -138,5 +141,5 @@ main(int argc, char **argv)
                 "fresh t_DD round per extra spin.\n");
     report.add("tDdSweep", std::move(tdd_rows));
     report.add("probeMoveDelaySweep", std::move(delay_rows));
-    return report.writeIfRequested(opt) ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

@@ -23,14 +23,14 @@
 #include <set>
 #include <utility>
 
-#include "bench/BenchUtil.hh"
 #include "exp/Campaign.hh"
+#include "exp/RunOptions.hh"
 #include "fault/FaultSchedule.hh"
+#include "network/NetworkBuilder.hh"
 #include "topology/Mesh.hh"
 #include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
-using namespace spin::bench;
 
 namespace
 {
@@ -69,7 +69,7 @@ struct FlowAudit
 int
 main(int argc, char **argv)
 {
-    Options opt = Options::parse(
+    exp::RunOptions opt = exp::RunOptions::parse(
         argc, argv,
         {"--fast", "--seed", "--threads", "--json", "--metrics",
          "--metrics-interval", "--trace", "--faults", "--wall-limit"});
@@ -87,8 +87,7 @@ main(int argc, char **argv)
     opt.apply(cfg);
 
     auto net = buildNetwork(topo, cfg, RoutingKind::MinimalAdaptive);
-    attachMetrics(*net, opt, "chaos-smoke");
-    attachTrace(*net, opt);
+    exp::Instruments instruments(*net, opt, "chaos-smoke");
 
     fault::FaultSchedule fs;
     std::string ferr;
@@ -190,21 +189,20 @@ main(int argc, char **argv)
     std::printf("chaos-smoke: %s\n",
                 violations.empty() ? "PASS" : "FAIL");
 
-    if (!opt.jsonPath.empty()) {
-        BenchReporter rep("chaos_smoke", opt);
-        obs::JsonValue audit = obs::JsonValue::object();
-        audit.set("flows", obs::JsonValue(
-                               static_cast<std::uint64_t>(flows.size())));
-        audit.set("delivered", obs::JsonValue(delivered));
-        audit.set("duplicates", obs::JsonValue(duplicates));
-        audit.set("sequenceGaps", obs::JsonValue(gaps));
-        audit.set("recovered", obs::JsonValue(recovered));
-        audit.set("drainCycles", obs::JsonValue(drained));
-        audit.set("pass", obs::JsonValue(violations.empty()));
-        rep.add("audit", std::move(audit));
-        rep.add("stats", s.toJson());
-        if (!rep.writeIfRequested(opt))
-            return 1;
-    }
+    exp::BenchReporter rep("chaos_smoke", opt);
+    instruments.collect(rep.recording());
+    obs::JsonValue audit = obs::JsonValue::object();
+    audit.set("flows",
+              obs::JsonValue(static_cast<std::uint64_t>(flows.size())));
+    audit.set("delivered", obs::JsonValue(delivered));
+    audit.set("duplicates", obs::JsonValue(duplicates));
+    audit.set("sequenceGaps", obs::JsonValue(gaps));
+    audit.set("recovered", obs::JsonValue(recovered));
+    audit.set("drainCycles", obs::JsonValue(drained));
+    audit.set("pass", obs::JsonValue(violations.empty()));
+    rep.add("audit", std::move(audit));
+    rep.add("stats", s.toJson());
+    if (!rep.finish())
+        return 1;
     return violations.empty() ? 0 : 1;
 }

@@ -12,14 +12,17 @@
  * deadlock at all under minimal routing.
  */
 
-#include "bench/BenchUtil.hh"
+#include <cstdio>
+
 #include "deadlock/OracleDetector.hh"
+#include "exp/RunOptions.hh"
+#include "network/NetworkBuilder.hh"
 #include "topology/Dragonfly.hh"
 #include "topology/Mesh.hh"
 #include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
-using namespace spin::bench;
+using exp::RunOptions;
 
 namespace
 {
@@ -27,7 +30,8 @@ namespace
 /** Run at one rate; report whether a deadlock ever appears. */
 bool
 deadlocks(const std::shared_ptr<const Topology> &topo, RoutingKind kind,
-          Pattern pattern, double rate, Cycle cycles, const Options &opt)
+          Pattern pattern, double rate, Cycle cycles, const RunOptions &opt,
+          exp::Recording &rec)
 {
     NetworkConfig cfg;
     cfg.vnets = 1; // Fig. 3 uses plain 1-flit synthetic traffic
@@ -37,14 +41,10 @@ deadlocks(const std::shared_ptr<const Topology> &topo, RoutingKind kind,
     cfg.scheme = DeadlockScheme::None;
     opt.apply(cfg);
     auto net = buildNetwork(topo, cfg, kind);
-    {
-        char lbl[96];
-        std::snprintf(lbl, sizeof(lbl), "onset|%s|%.2f",
-                      toString(pattern).c_str(), rate);
-        attachMetrics(*net, opt, lbl);
-    }
-    if (opt.profile)
-        net->enableProfiler();
+    char lbl[96];
+    std::snprintf(lbl, sizeof(lbl), "onset|%s|%.2f",
+                  toString(pattern).c_str(), rate);
+    exp::Instruments instruments(*net, opt, lbl);
 
     InjectorConfig icfg;
     icfg.injectionRate = rate;
@@ -61,15 +61,15 @@ deadlocks(const std::shared_ptr<const Topology> &topo, RoutingKind kind,
     }
     if (!hit)
         hit = oracle.detect().deadlocked;
-    if (opt.profile)
-        profileTotals().merge(*net->profiler());
+    instruments.collect(rec);
     return hit;
 }
 
 obs::JsonValue
 onsetSweep(const char *label, const std::shared_ptr<const Topology> &topo,
            RoutingKind kind, Cycle cycles,
-           const std::vector<Pattern> &patterns, const Options &opt)
+           const std::vector<Pattern> &patterns, const RunOptions &opt,
+           exp::Recording &rec)
 {
     obs::JsonValue block = obs::JsonValue::object();
     block.set("label", obs::JsonValue(label));
@@ -84,7 +84,7 @@ onsetSweep(const char *label, const std::shared_ptr<const Topology> &topo,
     for (const Pattern pat : patterns) {
         double onset = -1.0;
         for (const double rate : ladder) {
-            if (deadlocks(topo, kind, pat, rate, cycles, opt)) {
+            if (deadlocks(topo, kind, pat, rate, cycles, opt, rec)) {
                 onset = rate;
                 break;
             }
@@ -109,7 +109,7 @@ onsetSweep(const char *label, const std::shared_ptr<const Topology> &topo,
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(
+    const RunOptions opt = RunOptions::parse(
         argc, argv,
         {"--fast", "--seed", "--threads", "--reliability", "--json",
          "--metrics", "--metrics-interval", "--profile"});
@@ -119,7 +119,7 @@ main(int argc, char **argv)
     std::printf("=== Fig. 3: minimum injection rate at which the "
                 "network deadlocks ===\n\n");
 
-    BenchReporter report("fig03_deadlock_onset", opt);
+    exp::BenchReporter report("fig03_deadlock_onset", opt);
     obs::JsonValue blocks = obs::JsonValue::array();
 
     auto mesh = std::make_shared<Topology>(makeMesh(8, 8));
@@ -127,18 +127,20 @@ main(int argc, char **argv)
                            RoutingKind::MinimalAdaptive, mesh_cycles,
                            {Pattern::UniformRandom, Pattern::BitComplement,
                             Pattern::Transpose, Pattern::Tornado,
-                            Pattern::BitReverse, Pattern::Shuffle}, opt));
+                            Pattern::BitReverse, Pattern::Shuffle},
+                           opt, report.recording()));
 
     auto dfly = std::make_shared<Topology>(makePaperDragonfly());
     blocks.push(onsetSweep("1024-node dragonfly, UGAL (unrestricted VCs)",
                            dfly, RoutingKind::UgalSpin, dfly_cycles,
                            {Pattern::UniformRandom, Pattern::BitComplement,
-                            Pattern::Tornado, Pattern::Shuffle}, opt));
+                            Pattern::Tornado, Pattern::Shuffle},
+                           opt, report.recording()));
     report.add("onsetSweeps", std::move(blocks));
 
     std::printf("Reference: real applications load the NoC at roughly "
                 "0.01-0.05 flits/node/cycle\n(paper Sec. II-F): onset "
                 "rates above are ~10x higher, so deadlocks are rare\n"
                 "events and recovery beats avoidance.\n");
-    return report.writeIfRequested(opt) ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

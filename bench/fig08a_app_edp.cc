@@ -17,13 +17,15 @@
 
 #include <cmath>
 
-#include "bench/BenchUtil.hh"
+#include <cstdio>
+
+#include "exp/RunOptions.hh"
+#include "network/NetworkBuilder.hh"
 #include "power/AreaPowerModel.hh"
 #include "topology/Mesh.hh"
 #include "traffic/CoherenceTraffic.hh"
 
 using namespace spin;
-using namespace spin::bench;
 
 namespace
 {
@@ -78,7 +80,7 @@ runApp(const ConfigPreset &preset,
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(
+    const exp::RunOptions opt = exp::RunOptions::parse(
         argc, argv, {"--fast", "--seed", "--threads", "--reliability"});
     const Cycle cycles = opt.fast ? 8000 : 30000;
     auto topo = std::make_shared<Topology>(makeMesh(8, 8));
@@ -90,8 +92,8 @@ main(int argc, char **argv)
     spin2.cfg.name = "MinAdaptive_2VC_SPIN";
     spin2.cfg.vcsPerVnet = 2;
     spin2.cfg.scheme = DeadlockScheme::Spin;
-    opt.apply(escape);
-    opt.apply(spin2);
+    opt.apply(escape.cfg);
+    opt.apply(spin2.cfg);
 
     std::printf("=== Fig. 8a: network EDP on application-style traffic "
                 "(normalized to EscapeVC_3VC) ===\n");

@@ -13,8 +13,8 @@
 
 #include <cstdio>
 
-#include "bench/BenchUtil.hh"
 #include "core/LoopBuffer.hh"
+#include "exp/ArgParse.hh"
 #include "power/AreaPowerModel.hh"
 
 using namespace spin;
@@ -41,7 +41,7 @@ design(int radix, int vcs, int routers, SchemeExtras extras)
 int
 main(int argc, char **argv)
 {
-    bench::Options::parse(argc, argv, {}); // --help only
+    exp::parseCommandLine(argc, argv, {}); // --help only
     std::printf("=== Fig. 10: mesh router area, normalized to "
                 "west-first ===\n%-16s %12s %10s %10s\n", "design",
                 "area(um^2)", "norm", "overhead");

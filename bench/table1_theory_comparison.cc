@@ -9,8 +9,8 @@
 
 #include <cstdio>
 
-#include "bench/BenchUtil.hh"
 #include "core/Favors.hh"
+#include "exp/ArgParse.hh"
 #include "routing/EscapeVc.hh"
 #include "routing/MinimalAdaptive.hh"
 #include "routing/Ugal.hh"
@@ -21,7 +21,7 @@ using namespace spin;
 int
 main(int argc, char **argv)
 {
-    bench::Options::parse(argc, argv, {}); // --help only
+    exp::parseCommandLine(argc, argv, {}); // --help only
     std::printf("=== Table I: comparison of deadlock freedom theories "
                 "===\n\n");
     std::printf("%-14s %-11s %-8s %-10s | %-22s %-22s %-9s\n", "theory",

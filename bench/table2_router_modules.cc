@@ -8,8 +8,8 @@
 
 #include <cstdio>
 
-#include "bench/BenchUtil.hh"
 #include "core/LoopBuffer.hh"
+#include "exp/ArgParse.hh"
 #include "power/AreaPowerModel.hh"
 
 using namespace spin;
@@ -17,7 +17,7 @@ using namespace spin;
 int
 main(int argc, char **argv)
 {
-    bench::Options::parse(argc, argv, {}); // --help only
+    exp::parseCommandLine(argc, argv, {}); // --help only
     std::printf("=== Table II: SPIN router modules ===\n\n");
     std::printf("%-14s %s\n", "FSM",
                 "manages SM traversals and correctness (core/SpinUnit, "

@@ -5,22 +5,17 @@
  * (every node sends one packet two hops clockwise through a single VC),
  * then narrates each phase as it happens: detection (t_DD expiry),
  * probe traversal, loop latch, move, the synchronized spin, the
- * probe_move re-check and the kill_move epilogue.
- *
- * Telemetry flags:
- *   --trace PATH   Chrome trace (chrome://tracing / ui.perfetto.dev)
- *   --jsonl PATH   same events as newline-delimited JSON
- *   --dot PATH     Graphviz DOT of the captured wait-for loop
- *   --json PATH    full telemetry dump (config, stats, forensics)
+ * probe_move re-check and the kill_move epilogue. --help lists the
+ * telemetry flags (trace, wait-for loop DOT, telemetry dump).
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/SpinManager.hh"
 #include "core/SpinUnit.hh"
 #include "deadlock/OracleDetector.hh"
+#include "exp/ArgParse.hh"
 #include "network/NetworkBuilder.hh"
 #include "obs/Forensics.hh"
 #include "obs/Tracer.hh"
@@ -73,33 +68,19 @@ main(int argc, char **argv)
     constexpr int kN = 6;
 
     std::string trace_path, jsonl_path, dot_path, json_path;
-    for (int i = 1; i < argc; ++i) {
-        const auto arg = [&](std::string &dst) {
-            if (i + 1 < argc) {
-                dst = argv[++i];
-                return true;
-            }
-            std::fprintf(stderr, "missing value for %s\n", argv[i]);
-            return false;
-        };
-        bool ok = true;
-        if (!std::strcmp(argv[i], "--trace"))
-            ok = arg(trace_path);
-        else if (!std::strcmp(argv[i], "--jsonl"))
-            ok = arg(jsonl_path);
-        else if (!std::strcmp(argv[i], "--dot"))
-            ok = arg(dot_path);
-        else if (!std::strcmp(argv[i], "--json"))
-            ok = arg(json_path);
-        else {
-            std::fprintf(stderr,
-                         "usage: %s [--trace P] [--jsonl P] [--dot P] "
-                         "[--json P]\n", argv[0]);
-            return 2;
-        }
-        if (!ok)
-            return 2;
-    }
+    exp::parseCommandLine(
+        argc, argv,
+        {
+            exp::argStr("--trace", &trace_path,
+                        "Chrome trace (chrome://tracing, ui.perfetto.dev)"),
+            exp::argStr("--jsonl", &jsonl_path,
+                        "the same events as newline-delimited JSON (when "
+                        "--trace is not given)"),
+            exp::argStr("--dot", &dot_path,
+                        "Graphviz DOT of the captured wait-for loop"),
+            exp::argStr("--json", &json_path,
+                        "full telemetry dump (config, stats, forensics)"),
+        });
 
     auto topo = std::make_shared<Topology>(makeRing(kN));
     NetworkConfig cfg;

@@ -15,7 +15,11 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "exp/ArgParse.hh"
+#include "exp/RunOptions.hh"
 #include "exp/SweepSpec.hh"
 #include "network/NetworkBuilder.hh"
 #include "topology/TopologyIo.hh"
@@ -29,37 +33,50 @@ main(int argc, char **argv)
     std::string topo_s = "mesh8x8", routing_s = "favors-min";
     std::string pattern_s = "uniform-random", scheme_s = "spin";
     NetworkConfig cfg;
-    cfg.vnets = 1;
-    cfg.vcsPerVnet = 1;
+    std::uint64_t vcs = 1, vnets = 1, tdd = cfg.tDd;
+    std::uint64_t warmup = 2000, measure = 10000;
     double rate = 0.1;
-    Cycle warmup = 2000, measure = 10000;
+    exp::RunOptions run;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                SPIN_FATAL(a, " needs a value");
-            return argv[++i];
-        };
-        if (a == "--topology") topo_s = next();
-        else if (a == "--routing") routing_s = next();
-        else if (a == "--pattern") pattern_s = next();
-        else if (a == "--scheme") scheme_s = next();
-        else if (a == "--vcs") cfg.vcsPerVnet = std::stoi(next());
-        else if (a == "--vnets") cfg.vnets = std::stoi(next());
-        else if (a == "--rate") rate = std::stod(next());
-        else if (a == "--warmup") warmup = std::stoull(next());
-        else if (a == "--measure") measure = std::stoull(next());
-        else if (a == "--tdd") cfg.tDd = std::stoull(next());
-        else if (a == "--seed") cfg.seed = std::stoull(next());
-        else {
-            std::fprintf(stderr, "unknown flag %s (see file header)\n",
-                         a.c_str());
-            return 2;
-        }
-    }
+    std::vector<exp::ArgSpec> specs = {
+        exp::argStr("--topology", &topo_s,
+                    "a spin_sweep topology name or file:<path> (default "
+                    "mesh8x8)",
+                    "NAME"),
+        exp::argStr("--routing", &routing_s,
+                    "xy-dor | west-first | minimal-adaptive | escape-vc | "
+                    "torus-bubble-dor | ugal-dally | ugal-spin | favors-min "
+                    "| favors-nmin (default favors-min)",
+                    "NAME"),
+        exp::argU64("--vcs", &vcs, "VCs per vnet (default 1)"),
+        exp::argU64("--vnets", &vnets, "virtual networks (default 1)"),
+        exp::argStr("--scheme", &scheme_s,
+                    "spin | static-bubble | none (default spin)", "NAME"),
+        exp::argU64("--tdd", &tdd,
+                    "SPIN deadlock-detection timeout in cycles (default "
+                    "128)"),
+        exp::argStr("--pattern", &pattern_s,
+                    "uniform-random | bit-complement | transpose | tornado "
+                    "| bit-reverse | bit-rotation | shuffle | neighbor "
+                    "(default uniform-random)",
+                    "NAME"),
+        exp::argF64("--rate", &rate,
+                    "offered load in flits/node/cycle (default 0.1)"),
+        exp::argU64("--warmup", &warmup, "warmup cycles (default 2000)"),
+        exp::argU64("--measure", &measure,
+                    "measured cycles (default 10000)"),
+    };
+    for (exp::ArgSpec &row : run.flags({"--seed"}))
+        specs.push_back(std::move(row));
+    const exp::Usage usage =
+        exp::parseCommandLine(argc, argv, std::move(specs));
+
+    cfg.vcsPerVnet = static_cast<int>(vcs);
+    cfg.vnets = static_cast<int>(vnets);
+    cfg.tDd = tdd;
+    run.apply(cfg);
     if (!schemeFromString(scheme_s, cfg.scheme))
-        SPIN_FATAL("unknown scheme '", scheme_s,
+        usage.fail("unknown scheme '" + scheme_s +
                    "' (spin|static-bubble|none)");
     cfg.name = topo_s + "/" + routing_s;
 
@@ -69,14 +86,13 @@ main(int argc, char **argv)
             ? std::make_shared<Topology>(readTopologyFile(topo_s.substr(5)))
             : exp::makeTopologyByName(topo_s, err);
     if (!topo)
-        SPIN_FATAL(err);
+        usage.fail(err);
     RoutingKind kind{};
     if (!exp::routingKindFromString(routing_s, kind))
-        SPIN_FATAL("unknown routing '", routing_s, "' (try favors-min, "
-                   "west-first, escape-vc, ugal-dally, ...)");
+        usage.fail("unknown routing '" + routing_s + "'");
     Pattern pattern{};
     if (!exp::patternFromString(pattern_s, pattern))
-        SPIN_FATAL("unknown pattern '", pattern_s, "'");
+        usage.fail("unknown pattern '" + pattern_s + "'");
     auto net = buildNetwork(topo, cfg, kind);
     InjectorConfig icfg;
     icfg.injectionRate = rate;

@@ -51,7 +51,7 @@ struct ReliabilityConfig
      *  clock. */
     Cycle ackTimeout = 512;
     /** End-to-end retransmission cap; exhausting it retires the packet
-     *  with a distinct counter (stats.reliability.packetsAbandoned). */
+     *  as abandoned, counted apart from packets lost to faults. */
     int maxRetransmits = 5;
     /** Livelock watchdog: an unacked packet older than this raises a
      *  one-shot watchdog alarm with a forensics dump of the NIC's

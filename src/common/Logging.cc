@@ -28,10 +28,4 @@ warnImpl(const std::string &msg)
     std::cerr << "warn: " << msg << std::endl;
 }
 
-void
-informImpl(const std::string &msg)
-{
-    std::cerr << "info: " << msg << std::endl;
-}
-
 } // namespace spin

@@ -5,7 +5,6 @@
  * panic()  - an internal invariant was violated: a simulator bug.
  * fatal()  - the user supplied an impossible configuration.
  * warn()   - something is suspicious but the simulation can continue.
- * inform() - status output.
  */
 
 #ifndef SPINNOC_COMMON_LOGGING_HH
@@ -27,9 +26,6 @@ namespace spin
 
 /** Print a warning to stderr. */
 void warnImpl(const std::string &msg);
-
-/** Print a status message to stderr. */
-void informImpl(const std::string &msg);
 
 /** Thrown by fatal() so tests can assert on bad configurations. */
 class FatalError : public std::runtime_error
@@ -75,9 +71,6 @@ concat(const Args &...args)
 
 #define SPIN_WARN(...) \
     ::spin::warnImpl(::spin::detail::concat(__VA_ARGS__))
-
-#define SPIN_INFORM(...) \
-    ::spin::informImpl(::spin::detail::concat(__VA_ARGS__))
 
 /** Cheap always-on invariant check with context. */
 #define SPIN_ASSERT(cond, ...)                                            \

@@ -1,20 +1,12 @@
 #include "common/Random.hh"
 
+#include "common/Hash.hh"
+
 namespace spin
 {
 
 namespace
 {
-
-std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 std::uint64_t
 rotl(std::uint64_t x, int k)
@@ -27,17 +19,17 @@ rotl(std::uint64_t x, int k)
 Random::Random(std::uint64_t seed)
 {
     std::uint64_t sm = seed;
-    for (auto &s : s_)
+    for (auto &s : s_) {
         s = splitmix64(sm);
+        sm += kSplitmixGamma;
+    }
 }
 
 std::uint64_t
 Random::streamSeed(std::uint64_t seed, std::uint64_t stream)
 {
-    std::uint64_t x = seed;
-    (void)splitmix64(x);
-    x ^= 0x9e3779b97f4a7c15ULL * (stream + 1);
-    return splitmix64(x);
+    return splitmix64((seed + kSplitmixGamma) ^
+                      (kSplitmixGamma * (stream + 1)));
 }
 
 std::uint64_t

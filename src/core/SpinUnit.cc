@@ -72,13 +72,6 @@ SpinUnit::onFlitArrival(PortId inport, VcId vc)
     }
 }
 
-void
-SpinUnit::onFlitDeparture(PortId, VcId)
-{
-    // Progress timestamps live in the VCs themselves
-    // (VirtualChannel::lastProgress); nothing to do here.
-}
-
 // ---------------------------------------------------------------------
 // SM dispatch
 // ---------------------------------------------------------------------

@@ -37,8 +37,6 @@ class SpinUnit
     /// @{
     /** A flit arrived at a non-local in-port: S_OFF -> S_DD. */
     void onFlitArrival(PortId inport, VcId vc);
-    /** A flit left (inport, vc): advance the pointed-VC counter. */
-    void onFlitDeparture(PortId inport, VcId vc);
     /// @}
 
     /**
@@ -102,9 +100,8 @@ class SpinUnit
     /** The paper's seven-state view (see SpinFsm.hh). */
     SpinState paperState() const;
     const LoopBuffer &loopBuffer() const { return loop_; }
-    /** In-port / VC of the most recent probe (the acceptance port). */
+    /** In-port of the most recent probe (the acceptance port). */
     PortId pointerInport() const { return ptrInport_; }
-    VcId pointerVc() const { return ptrVc_; }
     /// @}
 
     /// @name Used by the probe / move managers

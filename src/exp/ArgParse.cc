@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -260,6 +261,34 @@ usage(const std::vector<ArgSpec> &specs)
         out += line + "\n";
     }
     return out;
+}
+
+void
+Usage::fail(const std::string &message) const
+{
+    std::fprintf(stderr, "%s: %s\n%s", tool.c_str(), message.c_str(),
+                 text.c_str());
+    std::exit(2);
+}
+
+Usage
+parseCommandLine(int argc, char **argv, std::vector<ArgSpec> specs,
+                 const std::string &synopsis, const std::string &trailer)
+{
+    bool help = false;
+    specs.push_back(argFlag("-h, --help", &help, "this message"));
+    Usage u;
+    u.tool = argv[0];
+    u.tool.erase(0, u.tool.rfind('/') + 1);
+    u.text = "usage: " + u.tool + " " + synopsis + usage(specs) + trailer;
+    std::string err;
+    if (!parseArgs(argc, argv, specs, err))
+        u.fail(err);
+    if (help) {
+        std::fputs(u.text.c_str(), stdout);
+        std::exit(0);
+    }
+    return u;
 }
 
 } // namespace spin::exp

@@ -1,7 +1,8 @@
 /**
  * @file
- * Declarative command-line parsing shared by the bench harness
- * (bench/BenchUtil.hh) and the campaign runner (tools/spin_sweep).
+ * Declarative command-line parsing, and the front door every tool,
+ * bench and example parses its command line through
+ * (parseCommandLine()).
  *
  * The contract every tool built on this gets for free:
  *  - unknown `--flags` are fatal, anywhere on the line;
@@ -15,8 +16,8 @@
  *    flag cannot be parsed without being listed or listed without
  *    being parsed.
  *
- * Parsing never exits or throws; callers print `err` with their usage
- * text and choose the exit code.
+ * parseArgs() never exits or throws; parseCommandLine() turns its
+ * errors into the shared exit codes.
  */
 
 #ifndef SPINNOC_EXP_ARGPARSE_HH
@@ -84,6 +85,28 @@ bool parseArgs(int argc, char **argv, const std::vector<ArgSpec> &specs,
 /** "options:" followed by one aligned, word-wrapped entry per row of
  *  @p specs, in order. */
 std::string usage(const std::vector<ArgSpec> &specs);
+
+/** A parsed command line's usage text, for usage errors found after
+ *  parsing (a required flag missing, an unknown name). */
+struct Usage
+{
+    std::string tool; //!< argv[0] without its directory
+    std::string text;
+
+    /** Print "<tool>: <message>" and the usage to stderr; exit 2. */
+    [[noreturn]] void fail(const std::string &message) const;
+};
+
+/**
+ * The command-line front door: parse @p argv against @p specs plus a
+ * generated "-h, --help" row. A usage error prints "<tool>: <error>"
+ * and the usage to stderr and exits 2; --help prints the usage to
+ * stdout and exits 0. The usage is "usage: <tool> " + @p synopsis, the
+ * option table, then @p trailer.
+ */
+Usage parseCommandLine(int argc, char **argv, std::vector<ArgSpec> specs,
+                       const std::string &synopsis = "[options]\n",
+                       const std::string &trailer = "");
 
 } // namespace spin::exp
 

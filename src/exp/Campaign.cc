@@ -1,22 +1,20 @@
 #include "exp/Campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
-#include <cmath>
-
+#include "common/Hash.hh"
 #include "common/Logging.hh"
 #include "deadlock/Invariants.hh"
 #include "fault/FaultInjector.hh"
 #include "fault/FaultSchedule.hh"
 #include "network/Network.hh"
-#include "obs/Metrics.hh"
 #include "traffic/SyntheticInjector.hh"
 
 namespace spin::exp
@@ -30,7 +28,7 @@ namespace
  *  of the fingerprint even though it lives outside the spec. */
 std::string
 specFingerprint(const SweepSpec &spec, const fault::FaultSchedule &faults,
-                int threads)
+                std::uint64_t threads)
 {
     std::string text = spec.toJson().dump(0);
     if (!faults.empty())
@@ -41,14 +39,10 @@ specFingerprint(const SweepSpec &spec, const fault::FaultSchedule &faults,
     // default stays unfolded to keep existing caches valid.
     if (threads != 1)
         text += "threads=" + std::to_string(threads);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
+                  static_cast<unsigned long long>(
+                      Fnv1a().bytes(text).value()));
     return buf;
 }
 
@@ -76,43 +70,35 @@ WallLimitGuard::checkClock(Network &net) const
             retx.push(nic.retxJson(net.now()));
     }
     doc.set("retx", std::move(retx));
-    std::string where;
-    if (!reportPath_.empty()) {
-        std::ofstream os(reportPath_);
-        os << doc.dump(2) << '\n';
-        where = "; telemetry: " + reportPath_;
-    }
+    obs::writeJsonFile(reportPath_, doc);
     SPIN_FATAL("wall-clock limit of ", limit_, "s exceeded at cycle ",
-               net.now(), where);
+               net.now(), "; telemetry: ", reportPath_);
 }
 
-Campaign::Campaign(SweepSpec spec, CampaignOptions opt)
-    : spec_(std::move(spec)), opt_(std::move(opt))
+Campaign::Campaign(SweepSpec spec, CampaignOptions opt,
+                   fault::FaultSchedule faults)
+    : spec_(std::move(spec)), opt_(std::move(opt)),
+      faults_(std::move(faults))
 {
     const std::string verr = spec_.validate();
     if (!verr.empty())
         SPIN_FATAL(verr);
-    if (opt_.jobs < 1)
-        opt_.jobs = 1;
-    if (opt_.jobs > 64)
-        opt_.jobs = 64;
-    if (opt_.threads < 1)
-        opt_.threads = 1;
-    if (opt_.threads > 64)
-        opt_.threads = 64;
+    opt_.jobs = std::clamp(opt_.jobs, 1, 64);
+    opt_.run.threads = std::clamp<std::uint64_t>(opt_.run.threads, 1, 64);
 }
 
 obs::JsonValue
 Campaign::runCell(const SweepSpec &spec, const Cell &cell,
                   const std::shared_ptr<const Topology> &topo,
-                  const fault::FaultSchedule *extra_faults,
-                  const CellCapture &capture)
+                  const RunOptions &run,
+                  const fault::FaultSchedule &extra_faults,
+                  Recording *recording, const std::string &cell_file)
 {
     const ConfigPreset *reg = findPreset(cell.preset);
     SPIN_ASSERT(reg, "cell references unknown preset ", cell.preset);
     ConfigPreset preset = *reg;
     preset.cfg.seed = cell.netSeed;
-    preset.cfg.threads = capture.threads > 0 ? capture.threads : 1;
+    preset.cfg.threads = run.threads > 0 ? static_cast<int>(run.threads) : 1;
     // The reliability dimension toggles the protocol with its default
     // knobs; per-knob sweeps go through dedicated specs/presets.
     preset.cfg.reliability.enabled = cell.reliability;
@@ -123,9 +109,7 @@ Campaign::runCell(const SweepSpec &spec, const Cell &cell,
     icfg.seed = cell.netSeed + 1;
     SyntheticInjector inj(*net, cell.pattern, icfg);
 
-    fault::FaultSchedule faults;
-    if (extra_faults)
-        faults = *extra_faults;
+    fault::FaultSchedule faults = extra_faults;
     if (cell.faultCount > 0) {
         // The schedule seed derives from the cell seed alone, so a cell
         // is bit-identical however the campaign is parallelized.
@@ -138,46 +122,33 @@ Campaign::runCell(const SweepSpec &spec, const Cell &cell,
     if (!faults.empty())
         net->attachFaults(std::move(faults));
 
-    obs::MemoryMetricsSink *msink = nullptr;
-    if (capture.metricsOut) {
-        auto sink = std::make_unique<obs::MemoryMetricsSink>();
-        msink = sink.get();
-        obs::MetricsConfig mcfg;
-        mcfg.interval =
-            capture.metricsInterval > 0 ? capture.metricsInterval : 256;
-        mcfg.label = cell.id;
-        net->enableMetrics(mcfg, std::move(sink));
-    }
-    if (capture.profileOut)
-        net->enableProfiler();
+    Instruments instruments(*net, run, cell.id);
 
     // Fail-fast invariant audit (spin_sweep --audit N): the same
     // oracle the model checker uses per cycle, sampled every N cycles
     // of a full-scale run. The first violation writes the spin-audit/v1
     // report and aborts the cell.
     const auto maybeAudit = [&]() {
-        if (capture.auditInterval == 0 ||
-            net->now() % capture.auditInterval != 0) {
+        if (run.auditInterval == 0 || net->now() % run.auditInterval != 0)
             return;
-        }
         const AuditReport rep = auditNetwork(*net);
         if (rep.clean())
             return;
         obs::JsonValue doc = rep.toJson();
         doc.set("cell", obs::JsonValue(cell.id));
         doc.set("cycle", obs::JsonValue(net->now()));
-        std::string where;
-        if (!capture.auditReportPath.empty()) {
-            std::ofstream os(capture.auditReportPath);
-            os << doc.dump(2) << '\n';
-            where = "; report: " + capture.auditReportPath;
-        }
+        const std::string path = cell_file.empty()
+                                     ? "spin-audit-violation.json"
+                                     : cell_file + ".audit.json";
+        obs::writeJsonFile(path, doc);
         SPIN_FATAL("invariant audit failed at cycle ", net->now(), " (",
                    rep.violations.size(), " violation(s): ",
-                   rep.violations.front(), ")", where);
+                   rep.violations.front(), "); report: ", path);
     };
 
-    WallLimitGuard wall(capture.wallLimitSeconds, capture.wallReportPath);
+    WallLimitGuard wall(run.wallLimit, cell_file.empty()
+                                           ? "spin-wall-limit.json"
+                                           : cell_file + ".wall.json");
 
     for (Cycle i = 0; i < spec.warmup; ++i) {
         inj.tick();
@@ -193,12 +164,8 @@ Campaign::runCell(const SweepSpec &spec, const Cell &cell,
         wall.check(*net);
     }
 
-    if (msink) {
-        net->metrics()->finish(net->now());
-        *capture.metricsOut = msink->lines();
-    }
-    if (capture.profileOut)
-        capture.profileOut->merge(*net->profiler());
+    if (recording)
+        instruments.collect(*recording);
 
     const double latency = net->stats().avgLatency();
     const double throughput =
@@ -240,12 +207,8 @@ Campaign::cellPath(const Cell &cell) const
 obs::JsonValue
 Campaign::loadCached(const Cell &cell) const
 {
-    std::ifstream is(cellPath(cell));
-    if (!is)
-        return {};
-    std::ostringstream text;
-    text << is.rdbuf();
-    const obs::JsonValue doc = obs::JsonValue::parse(text.str());
+    std::string err;
+    const obs::JsonValue doc = obs::readJsonFile(cellPath(cell), err);
     if (!doc.isObject())
         return {};
     const obs::JsonValue *id = doc.find("cell");
@@ -254,7 +217,7 @@ Campaign::loadCached(const Cell &cell) const
     if (!id || !id->isString() || id->asString() != cell.id || !fp ||
         !fp->isString() ||
         fp->asString() !=
-            specFingerprint(spec_, opt_.faultSchedule, opt_.threads) ||
+            specFingerprint(spec_, faults_, opt_.run.threads) ||
         !stats || !stats->isObject()) {
         return {};
     }
@@ -266,14 +229,8 @@ Campaign::storeCell(const Cell &cell, const obs::JsonValue &result) const
 {
     const std::string path = cellPath(cell);
     const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp);
-        if (!os)
-            return false;
-        os << result.dump(2) << '\n';
-        if (!os)
-            return false;
-    }
+    if (!obs::writeJsonFile(tmp, result))
+        return false;
     std::error_code ec;
     std::filesystem::rename(tmp, path, ec);
     return !ec;
@@ -295,9 +252,7 @@ Campaign::run()
     perf_.cells = cells.size();
     std::vector<obs::JsonValue> results(cells.size());
     const std::string fingerprint =
-        specFingerprint(spec_, opt_.faultSchedule, opt_.threads);
-    const fault::FaultSchedule *extraFaults =
-        opt_.faultSchedule.empty() ? nullptr : &opt_.faultSchedule;
+        specFingerprint(spec_, faults_, opt_.run.threads);
 
     if (!opt_.cellDir.empty()) {
         std::error_code ec;
@@ -323,14 +278,10 @@ Campaign::run()
         pending.push_back(cell.index);
     }
 
-    // Per-cell metrics buffers, indexed by expansion order. Workers
-    // write disjoint slots; the combined file is assembled after the
-    // join so it is bit-identical for any -j.
-    const bool wantMetrics = !opt_.metricsPath.empty();
-    std::vector<std::vector<std::string>> metricsLines(
-        wantMetrics ? cells.size() : 0);
-
-    profile_ = obs::PhaseProfiler{};
+    // Per-cell recordings, indexed by expansion order. Workers write
+    // disjoint slots; they are combined after the join, so the metrics
+    // file is bit-identical for any -j.
+    std::vector<Recording> recordings(cells.size());
 
     std::atomic<std::size_t> next{0};
     std::atomic<std::uint64_t> cycles{0};
@@ -339,7 +290,6 @@ Campaign::run()
     std::mutex errMutex;
     std::string firstError;
     std::mutex logMutex;
-    std::mutex profMutex;
 
     const auto worker = [&]() {
         for (;;) {
@@ -349,35 +299,10 @@ Campaign::run()
             const Cell &cell = cells[pending[slot]];
             busy.fetch_add(1);
             try {
-                CellCapture capture;
-                capture.threads = opt_.threads;
-                if (wantMetrics) {
-                    capture.metricsInterval = opt_.metricsInterval;
-                    capture.metricsOut = &metricsLines[cell.index];
-                }
-                if (opt_.auditInterval > 0) {
-                    capture.auditInterval = opt_.auditInterval;
-                    capture.auditReportPath =
-                        opt_.cellDir.empty()
-                            ? "spin-audit-violation.json"
-                            : cellPath(cell) + ".audit.json";
-                }
-                if (opt_.wallLimitSeconds > 0) {
-                    capture.wallLimitSeconds = opt_.wallLimitSeconds;
-                    capture.wallReportPath =
-                        opt_.cellDir.empty()
-                            ? "spin-wall-limit.json"
-                            : cellPath(cell) + ".wall.json";
-                }
-                obs::PhaseProfiler cellProfile;
-                if (opt_.profile)
-                    capture.profileOut = &cellProfile;
-                obs::JsonValue r =
-                    runCell(spec_, cell, topo, extraFaults, capture);
-                if (opt_.profile) {
-                    std::lock_guard<std::mutex> lock(profMutex);
-                    profile_.merge(cellProfile);
-                }
+                obs::JsonValue r = runCell(
+                    spec_, cell, topo, opt_.run, faults_,
+                    &recordings[cell.index],
+                    opt_.cellDir.empty() ? "" : cellPath(cell));
                 // The fingerprint is cache metadata: it lands in the
                 // cell file (loadCached validates against it) but
                 // never in the aggregate, which must stay
@@ -475,22 +400,14 @@ Campaign::run()
     perf_.cellsSimulated = pending.size();
     perf_.cyclesSimulated = cycles.load();
 
-    // Combined metrics stream, cells concatenated in expansion order.
-    if (wantMetrics) {
-        const std::filesystem::path mpath(opt_.metricsPath);
-        if (mpath.has_parent_path()) {
-            std::error_code ec;
-            std::filesystem::create_directories(mpath.parent_path(), ec);
-        }
-        std::ofstream os(opt_.metricsPath);
-        if (!os)
-            SPIN_FATAL("cannot write metrics file ", opt_.metricsPath);
-        for (const Cell &cell : cells) {
-            for (const std::string &line : metricsLines[cell.index])
-                os << line << '\n';
-        }
-        if (!os)
-            SPIN_FATAL("error writing metrics file ", opt_.metricsPath);
+    // Combined metrics stream and profile, in expansion order.
+    Recording all;
+    for (const Cell &cell : cells)
+        all.append(std::move(recordings[cell.index]));
+    profile_ = all.profile;
+    if (!opt_.run.metricsPath.empty() &&
+        !all.writeMetrics(opt_.run.metricsPath)) {
+        SPIN_FATAL("cannot write metrics file ", opt_.run.metricsPath);
     }
 
     // ------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/RunOptions.hh"
 #include "exp/SweepSpec.hh"
 #include "fault/FaultSchedule.hh"
 #include "network/Network.hh"
@@ -42,15 +43,6 @@ struct CampaignOptions
     /** Worker threads pulling whole cells; clamped to [1, 64].
      *  1 runs inline. */
     int jobs = 1;
-    /**
-     * Worker threads inside each cell's Network::step() (spin_sweep
-     * --threads; docs/SCALING.md). Orthogonal to `jobs`: jobs spreads
-     * cells across cores, threads spreads one simulation. Results are
-     * bit-identical for any value; the resume fingerprint still folds
-     * a non-default value in, so caches produced under different
-     * intra-cell parallelism are never silently mixed.
-     */
-    int threads = 1;
     /** Per-cell result directory; empty disables cell files + resume. */
     std::string cellDir;
     /** Reuse existing per-cell files instead of re-simulating. */
@@ -58,46 +50,30 @@ struct CampaignOptions
     /** Progress lines on stderr ("[12/30] cell ..."). */
     bool progress = false;
     /**
-     * Fixed fault schedule attached to every cell's network (e.g. from
-     * spin_sweep --faults). Applied in addition to the spec's own
-     * random-failure dimension; identical for every cell, so the
-     * aggregate stays bit-identical for any -j.
-     */
-    fault::FaultSchedule faultSchedule;
-    /**
-     * Combined spin-metrics/v2 JSONL path; empty disables per-cell
-     * metrics. Every simulated cell captures its windowed metrics into
-     * a memory buffer (records tagged with the cell id); after the
-     * workers join, the buffers are concatenated in expansion order, so
-     * the file is bit-identical for any -j. Cells reloaded from the
-     * resume cache contribute no records.
-     */
-    std::string metricsPath;
-    /** Metrics window length in cycles. */
-    Cycle metricsInterval = 256;
-    /**
-     * Audit the runtime invariants every N cycles in every simulated
-     * cell (spin_sweep --audit N); 0 disables. A violation aborts the
-     * campaign with the spin-audit/v1 report written next to the cell
-     * file (see CellCapture::auditReportPath).
-     */
-    Cycle auditInterval = 0;
-    /**
      * Single-line live progress meter on stderr (cells done/total,
      * cells/sec, ETA, worker utilization), redrawn a few times per
      * second. Meant for TTYs; `progress` is the log-friendly variant.
      */
     bool live = false;
-    /** Attribute wall-clock time to step() phases in every simulated
-     *  cell; totals aggregate into Campaign::profile(). */
-    bool profile = false;
     /**
-     * Per-cell wall-clock watchdog in seconds (spin_sweep
-     * --wall-limit); 0 disables. A cell that overruns dumps its
-     * telemetry (including NIC retransmit state) next to the cell file
-     * and fails the campaign fast instead of hanging the worker pool.
+     * The run flags every simulated cell reads:
+     *  - `threads` inside each cell's step(), clamped to [1, 64].
+     *    Orthogonal to `jobs`, and results are bit-identical for any
+     *    value, but a non-default count is folded into the resume
+     *    fingerprint so caches produced under different intra-cell
+     *    parallelism are never silently mixed.
+     *  - `metricsPath`: every cell buffers its windowed metrics (records
+     *    tagged with the cell id); after the workers join they are
+     *    written in expansion order, so the file is bit-identical for
+     *    any -j. Cells reloaded from the resume cache contribute none.
+     *  - `profile` totals aggregate into Campaign::profile().
+     *  - `auditInterval` and `wallLimit` fail a cell fast, with the
+     *    spin-audit/v1 report or the telemetry dump next to its cell
+     *    file (see runCell).
+     * The caller applies `fast` and `reliability` to the spec and loads
+     * `faultsPath` into the Campaign's schedule.
      */
-    std::uint64_t wallLimitSeconds = 0;
+    RunOptions run;
 };
 
 /** Wall-clock accounting of one run() (not part of the results). */
@@ -133,8 +109,7 @@ struct CampaignPerf
 class WallLimitGuard
 {
   public:
-    /** @p limit_seconds 0 disables the guard; an empty @p report_path
-     *  keeps the diagnosis in the exception message only. */
+    /** @p limit_seconds 0 disables the guard. */
     WallLimitGuard(std::uint64_t limit_seconds, std::string report_path);
 
     void
@@ -153,43 +128,16 @@ class WallLimitGuard
     std::uint64_t ticks_ = 0;
 };
 
-/** Optional per-cell instrumentation for Campaign::runCell. */
-struct CellCapture
-{
-    /** Metrics window length; used when metricsOut is set. */
-    Cycle metricsInterval = 256;
-    /** When non-null, receives the cell's spin-metrics/v2 lines. */
-    std::vector<std::string> *metricsOut = nullptr;
-    /** When non-null, the cell runs profiled and its phase totals are
-     *  merged in. */
-    obs::PhaseProfiler *profileOut = nullptr;
-    /**
-     * Run the runtime invariant auditor (deadlock/Invariants.hh) every
-     * N cycles; 0 disables. The first violation fails the cell fast:
-     * the spin-audit/v1 report is written to auditReportPath (when
-     * set) and the cell throws FatalError.
-     */
-    Cycle auditInterval = 0;
-    /** Destination for the failure report; empty keeps it in the
-     *  exception message only. */
-    std::string auditReportPath;
-    /** Threads inside the cell's Network::step()
-     *  (CampaignOptions::threads). */
-    int threads = 1;
-    /** Wall-clock budget for this cell in seconds; 0 disables
-     *  (CampaignOptions::wallLimitSeconds). On overrun the cell writes
-     *  its telemetry to wallReportPath (when set) and throws. */
-    std::uint64_t wallLimitSeconds = 0;
-    /** Destination for the overrun telemetry dump; empty keeps the
-     *  diagnosis in the exception message only. */
-    std::string wallReportPath;
-};
-
 /** See file comment. */
 class Campaign
 {
   public:
-    Campaign(SweepSpec spec, CampaignOptions opt);
+    /** @p faults, when not empty, is attached to every cell on top of
+     *  the spec's own fault dimension (spin_sweep --faults). It is the
+     *  same for every cell, so the aggregate stays bit-identical for
+     *  any -j, and it is part of the resume fingerprint. */
+    Campaign(SweepSpec spec, CampaignOptions opt,
+             fault::FaultSchedule faults = {});
 
     /**
      * Run (or resume) the campaign and return the aggregated results
@@ -206,18 +154,28 @@ class Campaign
      *  zero cycles when it was off). Not part of the results. */
     const obs::PhaseProfiler &profile() const { return profile_; }
 
-    /** Simulate one cell in isolation (used by run() and the tests).
-     *  @p extra_faults, when non-null, is attached on top of the cell's
-     *  own fault dimension. */
+    /**
+     * Simulate one cell in isolation (used by run() and the tests),
+     * instrumented as @p run asks; what it records is appended to
+     * @p recording when given. @p extra_faults is attached on top of
+     * the cell's own fault dimension. An --audit violation or a
+     * --wall-limit overrun writes its report next to @p cell_file
+     * (`<file>.audit.json`, `<file>.wall.json`), or to
+     * spin-audit-violation.json / spin-wall-limit.json when it is
+     * empty, and throws FatalError.
+     */
     static obs::JsonValue
     runCell(const SweepSpec &spec, const Cell &cell,
             const std::shared_ptr<const Topology> &topo,
-            const fault::FaultSchedule *extra_faults = nullptr,
-            const CellCapture &capture = {});
+            const RunOptions &run = {},
+            const fault::FaultSchedule &extra_faults = {},
+            Recording *recording = nullptr,
+            const std::string &cell_file = "");
 
   private:
     SweepSpec spec_;
     CampaignOptions opt_;
+    fault::FaultSchedule faults_;
     CampaignPerf perf_;
     obs::PhaseProfiler profile_;
 

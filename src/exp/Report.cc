@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 #include <vector>
 
@@ -103,18 +102,6 @@ printSpinCounts(const obs::JsonValue &results)
             static_cast<unsigned long long>(sp["probesReturned"].asU64()));
     }
     std::printf("\n");
-}
-
-bool
-writeJsonFile(const std::string &path, const obs::JsonValue &doc)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return false;
-    }
-    os << doc.dump(2) << '\n';
-    return static_cast<bool>(os);
 }
 
 void

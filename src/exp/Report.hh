@@ -41,9 +41,6 @@ void printLinkUtilization(const obs::JsonValue &results);
  */
 void printSpinCounts(const obs::JsonValue &results);
 
-/** Write @p doc to @p path as indented JSON; complains on stderr. */
-bool writeJsonFile(const std::string &path, const obs::JsonValue &doc);
-
 /**
  * Wall-clock phase-attribution table over a spin-profile/v1 document
  * (obs::PhaseProfiler::toJson): one row per phase, share-sorted.

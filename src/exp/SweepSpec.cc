@@ -3,10 +3,9 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 
+#include "common/Hash.hh"
 #include "common/Logging.hh"
 #include "topology/Dragonfly.hh"
 #include "topology/Mesh.hh"
@@ -18,27 +17,6 @@ namespace spin::exp
 
 namespace
 {
-
-/** FNV-1a over a byte string. */
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
-{
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** splitmix64 finalizer: avalanche the structured hash input. */
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Fixed-point rate text: the same for spec files and seed derivation. */
 std::string
@@ -109,10 +87,11 @@ std::uint64_t
 deriveCellSeed(std::uint64_t seed_base, const std::string &preset,
                Pattern pattern, double rate, std::uint64_t seed_entry)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, preset);
-    h = fnv1a(h, toString(pattern));
-    h = fnv1a(h, rateText(rate));
+    std::uint64_t h = Fnv1a()
+                          .bytes(preset)
+                          .bytes(toString(pattern))
+                          .bytes(rateText(rate))
+                          .value();
     h ^= splitmix64(seed_entry);
     h ^= splitmix64(seed_base + 0x5851f42d4c957f2dull);
     const std::uint64_t s = splitmix64(h);
@@ -442,20 +421,8 @@ bool
 SweepSpec::fromFile(const std::string &path, SweepSpec &out,
                     std::string &err)
 {
-    std::ifstream is(path);
-    if (!is) {
-        err = "cannot open spec file " + path;
-        return false;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    std::string perr;
-    const obs::JsonValue doc = obs::JsonValue::parse(text.str(), &perr);
-    if (doc.isNull() && !perr.empty()) {
-        err = path + ": " + perr;
-        return false;
-    }
-    return fromJson(doc, out, err);
+    const obs::JsonValue doc = obs::readJsonFile(path, err);
+    return !doc.isNull() && fromJson(doc, out, err);
 }
 
 obs::JsonValue

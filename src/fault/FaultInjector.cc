@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/Hash.hh"
 #include "common/Logging.hh"
 #include "network/Network.hh"
 #include "obs/Forensics.hh"
@@ -13,16 +14,6 @@ namespace spin::fault
 
 namespace
 {
-
-/** splitmix64 finalizer: the flaky Bernoulli stream's hash. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Uniform double in [0, 1) from a 64-bit hash (53 mantissa bits). */
 double
@@ -213,7 +204,7 @@ FaultInjector::applyFlaky(const FaultEvent &e)
         flakyProb_[i] = e.prob;
         // Decorrelate the two directions (and parallel links) without
         // depending on arm order.
-        flakySeed_[i] = mix64(e.seed ^ (0x1000003ull * (li + 1)));
+        flakySeed_[i] = splitmix64(e.seed ^ (0x1000003ull * (li + 1)));
     }
     ++net_.stats().transientFaults;
 }
@@ -252,7 +243,8 @@ FaultInjector::corruptAttempt(std::size_t li, Cycle t)
     if (t < outageEnd_[li])
         return true;
     if (t < flakyEnd_[li]) {
-        const std::uint64_t draw = mix64(flakySeed_[li] ^ ++flakyTx_[li]);
+        const std::uint64_t draw =
+            splitmix64(flakySeed_[li] ^ ++flakyTx_[li]);
         if (toUnit(draw) < flakyProb_[li])
             return true;
     }

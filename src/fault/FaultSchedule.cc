@@ -1,9 +1,8 @@
 #include "fault/FaultSchedule.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
+#include "common/Hash.hh"
 #include "common/Logging.hh"
 
 namespace spin::fault
@@ -11,16 +10,6 @@ namespace spin::fault
 
 namespace
 {
-
-/** splitmix64: the schedule's only randomness source (deterministic). */
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 bool
 kindFromString(const std::string &s, FaultKind &out)
@@ -370,20 +359,8 @@ bool
 FaultSchedule::fromFile(const std::string &path, FaultSchedule &out,
                         std::string &err)
 {
-    std::ifstream is(path);
-    if (!is) {
-        err = "cannot open fault spec file " + path;
-        return false;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    std::string perr;
-    const obs::JsonValue doc = obs::JsonValue::parse(text.str(), &perr);
-    if (doc.isNull() && !perr.empty()) {
-        err = path + ": " + perr;
-        return false;
-    }
-    return fromJson(doc, out, err);
+    const obs::JsonValue doc = obs::readJsonFile(path, err);
+    return !doc.isNull() && fromJson(doc, out, err);
 }
 
 obs::JsonValue

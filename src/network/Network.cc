@@ -1,7 +1,5 @@
 #include "network/Network.hh"
 
-#include <fstream>
-
 #include "common/Logging.hh"
 #include "core/SpinManager.hh"
 #include "deadlock/StaticBubble.hh"
@@ -558,11 +556,7 @@ Network::attachFaults(fault::FaultSchedule schedule)
 bool
 Network::dumpTelemetry(const std::string &path) const
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    os << telemetryJson().dump(2) << '\n';
-    return static_cast<bool>(os);
+    return obs::writeJsonFile(path, telemetryJson());
 }
 
 } // namespace spin

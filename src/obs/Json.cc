@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace spin::obs
 {
@@ -370,6 +372,32 @@ JsonValue::parse(const std::string &text, std::string *err)
     if (err)
         err->clear();
     return v;
+}
+
+JsonValue
+readJsonFile(const std::string &path, std::string &err)
+{
+    std::ifstream is(path);
+    if (!is) {
+        err = "cannot open " + path;
+        return JsonValue();
+    }
+    std::ostringstream text;
+    text << is.rdbuf();
+    JsonValue doc = JsonValue::parse(text.str(), &err);
+    if (!err.empty())
+        err = path + ": " + err;
+    else if (doc.isNull())
+        err = path + ": the document is null";
+    return doc;
+}
+
+bool
+writeJsonFile(const std::string &path, const JsonValue &doc)
+{
+    std::ofstream os(path);
+    os << doc.dump(2) << '\n';
+    return static_cast<bool>(os);
 }
 
 } // namespace spin::obs

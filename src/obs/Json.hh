@@ -1,9 +1,11 @@
 /**
  * @file
  * Minimal self-contained JSON document model: an ordered value tree
- * with a writer (dump) and a strict recursive-descent parser. Exists so
- * telemetry export (Stats::toJson, trace sinks, Network::dumpTelemetry)
- * and its round-trip tests need no external dependency.
+ * with a writer (dump) and a strict recursive-descent parser, plus the
+ * one file reader and writer every JSON document goes through. Exists
+ * so telemetry export (Stats::toJson, trace sinks,
+ * Network::dumpTelemetry) and its round-trip tests need no external
+ * dependency.
  */
 
 #ifndef SPINNOC_OBS_JSON_HH
@@ -52,7 +54,6 @@ class JsonValue
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
     bool isNumber() const { return type_ == Type::Number; }
     bool isString() const { return type_ == Type::String; }
     bool isArray() const { return type_ == Type::Array; }
@@ -172,6 +173,17 @@ class JsonValue
     std::vector<JsonValue> arr_;
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+/**
+ * Read and parse the JSON document in @p path. On failure returns Null
+ * with @p err set: the file cannot be opened, does not parse, or holds
+ * the document `null`, which no reader accepts.
+ */
+JsonValue readJsonFile(const std::string &path, std::string &err);
+
+/** Write @p doc to @p path as dump(2) plus a newline. @return false
+ *  when the file cannot be written. */
+bool writeJsonFile(const std::string &path, const JsonValue &doc);
 
 } // namespace spin::obs
 

@@ -12,21 +12,6 @@
 namespace spin::obs
 {
 
-// ---------------------------------------------------------------------
-// Sinks
-// ---------------------------------------------------------------------
-
-std::unique_ptr<StreamMetricsSink>
-StreamMetricsSink::open(const std::string &path)
-{
-    auto sink = std::unique_ptr<StreamMetricsSink>(new StreamMetricsSink());
-    sink->own_.open(path);
-    if (!sink->own_)
-        return nullptr;
-    sink->os_ = &sink->own_;
-    return sink;
-}
-
 double
 histogramPercentile(const std::vector<std::uint64_t> &buckets, double p)
 {
@@ -292,7 +277,6 @@ NetworkMetrics::finish(Cycle now)
     o.set("cycle", JsonValue(now));
     o.set("windows", JsonValue(windows_));
     sink_->line(o.dump(0));
-    sink_->flush();
 }
 
 } // namespace spin::obs

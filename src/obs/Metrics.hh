@@ -30,7 +30,6 @@
 #define SPINNOC_OBS_METRICS_HH
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,30 +65,9 @@ class MetricsSink
   public:
     virtual ~MetricsSink() = default;
     virtual void line(const std::string &text) = 0;
-    virtual void flush() {}
 };
 
-/** Appends records to a borrowed or owned stream. */
-class StreamMetricsSink : public MetricsSink
-{
-  public:
-    explicit StreamMetricsSink(std::ostream &os) : os_(&os) {}
-    /** Open @p path for writing; returns nullptr on failure. */
-    static std::unique_ptr<StreamMetricsSink> open(const std::string &path);
-
-    void line(const std::string &text) override
-    {
-        *os_ << text << '\n';
-    }
-    void flush() override { os_->flush(); }
-
-  private:
-    StreamMetricsSink() = default;
-    std::ofstream own_;
-    std::ostream *os_ = nullptr;
-};
-
-/** Buffers records in memory (campaign cells, tests). */
+/** Buffers records in memory (every run's --metrics, tests). */
 class MemoryMetricsSink : public MetricsSink
 {
   public:
@@ -101,13 +79,6 @@ class MemoryMetricsSink : public MetricsSink
 
   private:
     std::vector<std::string> lines_;
-};
-
-/** Discards everything (micro-benchmarks of the engine itself). */
-class NullMetricsSink : public MetricsSink
-{
-  public:
-    void line(const std::string &) override {}
 };
 
 /**
@@ -131,7 +102,6 @@ class NetworkMetrics
     NetworkMetrics &operator=(const NetworkMetrics &) = delete;
 
     const MetricsConfig &config() const { return cfg_; }
-    MetricsSink &sink() { return *sink_; }
 
     /** Called by Network::step() every cycle; emits on window ticks. */
     void
@@ -154,8 +124,9 @@ class NetworkMetrics
 
     /**
      * Emit the final partial window (when any cycles elapsed since the
-     * last boundary) and flush. Idempotent; also run by the destructor
-     * so attach-and-forget captures are never truncated.
+     * last boundary) and the finish record. Idempotent; also run by
+     * the destructor so attach-and-forget captures are never
+     * truncated.
      */
     void finish(Cycle now);
 

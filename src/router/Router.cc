@@ -257,9 +257,6 @@ Router::purgeUnroutable(PortId inport, VcId vcid)
     }
     occupied_[inport] &= ~(std::uint64_t{1} << vcid);
 
-    if (spin_ && !inputs_[inport].fromNic())
-        spin_->onFlitDeparture(inport, vcid);
-
     ++net_.stats().packetsUnroutable;
     net_.notifyLost(pkt);
 
@@ -443,9 +440,6 @@ Router::sendFlit(PortId inport, VcId vcid)
 
     creditUpstream(inport, vcid, isTail);
 
-    if (spin_ && !inputs_[inport].fromNic())
-        spin_->onFlitDeparture(inport, vcid);
-
     if (isHead && !out.toNic()) {
         ++pkt->hops;
         net_.routing().onHop(*pkt, *this, outport);
@@ -552,9 +546,6 @@ Router::forceSend(PortId inport, VcId vcid, PortId outport, VcId down_vc,
     ++pkt->spins;
     net_.routing().onHop(*pkt, *this, outport);
     ++net_.stats().packetsRotated;
-
-    if (spin_)
-        spin_->onFlitDeparture(inport, vcid);
 
     if (obs::Tracer *t = net_.trace())
         t->flit(now, "spin_rotate", id_, *pkt, inport, vcid, outport,

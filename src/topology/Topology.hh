@@ -76,7 +76,6 @@ struct DragonflyInfo
     int g = 0; //!< number of groups (<= a*h + 1)
 
     int groupOf(RouterId r) const { return r / a; }
-    int indexInGroup(RouterId r) const { return r % a; }
     RouterId routerOf(int group, int idx) const { return group * a + idx; }
 
     /** Local ports to the other a-1 routers in the group: [0, a-1). */

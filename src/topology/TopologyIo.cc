@@ -130,13 +130,4 @@ writeTopology(const Topology &topo, std::ostream &out)
     }
 }
 
-void
-writeTopologyFile(const Topology &topo, const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        SPIN_FATAL("cannot write topology file ", path);
-    writeTopology(topo, out);
-}
-
 } // namespace spin

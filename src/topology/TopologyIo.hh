@@ -35,9 +35,6 @@ Topology readTopologyFile(const std::string &path);
 /** Serialize @p topo (finalized) in the format above. */
 void writeTopology(const Topology &topo, std::ostream &out);
 
-/** Serialize to a file. @throws FatalError when unwritable. */
-void writeTopologyFile(const Topology &topo, const std::string &path);
-
 } // namespace spin
 
 #endif // SPINNOC_TOPOLOGY_TOPOLOGYIO_HH

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/Hash.hh"
 #include "common/Logging.hh"
 #include "core/SpinManager.hh"
 #include "fault/FaultInjector.hh"
@@ -39,7 +40,7 @@ mapped(const std::vector<int> &perm, RouterId r)
 }
 
 void
-hashPacket(Fnv &h, const Packet &p, const std::vector<int> &perm)
+hashPacket(Fnv1a &h, const Packet &p, const std::vector<int> &perm)
 {
     // Identity-free normalization: two packets with the same source,
     // destination, class, size and routing phase are interchangeable.
@@ -56,7 +57,7 @@ hashPacket(Fnv &h, const Packet &p, const std::vector<int> &perm)
 }
 
 void
-hashSm(Fnv &h, const SpecialMsg &sm, Cycle now,
+hashSm(Fnv1a &h, const SpecialMsg &sm, Cycle now,
        const std::vector<int> &perm)
 {
     h.u64(static_cast<std::uint64_t>(sm.type));
@@ -91,7 +92,7 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
     const int vcs = net.config().totalVcs();
     SpinManager *mgr = net.spinManager();
     const fault::FaultInjector *fi = net.faults();
-    Fnv h;
+    Fnv1a h;
 
     // Routers, in canonical order.
     for (int c = 0; c < n; ++c) {

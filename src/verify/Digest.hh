@@ -34,26 +34,6 @@ class Network;
 namespace verify
 {
 
-/** Streaming 64-bit FNV-1a hasher. */
-class Fnv
-{
-  public:
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xffu;
-            h_ *= 0x100000001b3ull;
-        }
-    }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void b(bool v) { u64(v ? 1 : 0); }
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 /**
  * Digest @p net under the router renaming @p perm (perm[r] = canonical
  * index of router r; empty = identity). Renamings other than the

@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/Hash.hh"
 #include "common/Logging.hh"
 #include "core/SpinManager.hh"
 #include "deadlock/Invariants.hh"
@@ -64,7 +65,7 @@ struct ExploreState
 std::uint64_t
 foldVerdict(std::uint64_t salt, const SmSend &send, int nth, SmAction a)
 {
-    Fnv f;
+    Fnv1a f;
     f.u64(salt);
     f.u64(static_cast<std::uint64_t>(send.sm.type));
     f.i64(send.sm.sender);
@@ -150,7 +151,7 @@ runOnce(const Scenario &sc, const RunSpec &spec, const ExplorerOptions &opt,
         }
         if (ex && remaining > 0) {
             for (const SmAction a : {SmAction::Delay, SmAction::Drop}) {
-                Fnv key;
+                Fnv1a key;
                 key.u64(cycleDigest);
                 key.u64(cycleSalt);
                 key.u64(static_cast<std::uint64_t>(send.sm.type));
@@ -203,7 +204,7 @@ runOnce(const Scenario &sc, const RunSpec &spec, const ExplorerOptions &opt,
                 // A scheduled-but-unfired fault is invisible to the
                 // network state; distinguish roots that only differ in
                 // when the fault will strike.
-                Fnv f;
+                Fnv1a f;
                 f.u64(cycleDigest);
                 f.u64(spec.faultCycle - now);
                 cycleDigest = f.value();

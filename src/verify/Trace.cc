@@ -1,8 +1,5 @@
 #include "verify/Trace.hh"
 
-#include <fstream>
-#include <sstream>
-
 namespace spin::verify
 {
 
@@ -244,27 +241,14 @@ traceFromJson(const obs::JsonValue &doc, Violation &out, std::string &err)
 bool
 traceFromFile(const std::string &path, Violation &out, std::string &err)
 {
-    std::ifstream in(path);
-    if (!in) {
-        err = "cannot open " + path;
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const obs::JsonValue doc = obs::JsonValue::parse(ss.str(), &err);
-    if (doc.isNull())
-        return false;
-    return traceFromJson(doc, out, err);
+    const obs::JsonValue doc = obs::readJsonFile(path, err);
+    return !doc.isNull() && traceFromJson(doc, out, err);
 }
 
 bool
 traceToFile(const Violation &v, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << traceToJson(v).dump(2) << "\n";
-    return static_cast<bool>(out);
+    return obs::writeJsonFile(path, traceToJson(v));
 }
 
 } // namespace spin::verify

@@ -415,7 +415,7 @@ TEST(CampaignTest, PeriodicAuditPassesOnCleanProtocol)
     const SweepSpec spec = tinySpec();
     CampaignOptions plain;
     CampaignOptions audited;
-    audited.auditInterval = 16;
+    audited.run.auditInterval = 16;
     const std::string a = Campaign(spec, plain).run().dump(2);
     const std::string b = Campaign(spec, audited).run().dump(2);
     EXPECT_EQ(a, b);

@@ -310,11 +310,11 @@ TEST(FaultCampaignTest, FixedScheduleReachesEveryCellDeterministically)
     const exp::SweepSpec spec = faultySpec();
     exp::CampaignOptions opt;
     opt.jobs = 2;
-    opt.faultSchedule = parseSchedule(
+    const FaultSchedule fixed = parseSchedule(
         R"({"schema": "spin-faults/v2",
             "events": [{"kind": "link", "cycle": 20,
                         "src": 1, "dst": 2}]})");
-    const obs::JsonValue results = exp::Campaign(spec, opt).run();
+    const obs::JsonValue results = exp::Campaign(spec, opt, fixed).run();
     const obs::JsonValue &cells = results["cells"];
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const obs::JsonValue &c = cells.at(i);
@@ -324,7 +324,7 @@ TEST(FaultCampaignTest, FixedScheduleReachesEveryCellDeterministically)
     }
     exp::CampaignOptions serial = opt;
     serial.jobs = 1;
-    EXPECT_EQ(exp::Campaign(spec, serial).run().dump(2),
+    EXPECT_EQ(exp::Campaign(spec, serial, fixed).run().dump(2),
               results.dump(2));
 }
 

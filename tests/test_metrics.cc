@@ -572,7 +572,7 @@ metricsSpec()
 
 } // namespace
 
-TEST(CampaignMetrics, CellCaptureTagsAndProfiles)
+TEST(CampaignMetrics, RunCellRecordsTaggedMetricsAndProfile)
 {
     const exp::SweepSpec spec = metricsSpec();
     const std::vector<exp::Cell> cells = spec.expand();
@@ -581,18 +581,19 @@ TEST(CampaignMetrics, CellCaptureTagsAndProfiles)
     auto topo = exp::makeTopologyByName(spec.topology, terr);
     ASSERT_TRUE(topo) << terr;
 
-    std::vector<std::string> lines;
-    obs::PhaseProfiler prof;
-    exp::CellCapture cap;
-    cap.metricsInterval = 32;
-    cap.metricsOut = &lines;
-    cap.profileOut = &prof;
-    exp::Campaign::runCell(spec, cells[0], topo, nullptr, cap);
+    // runCell records what the run flags ask for; only Campaign::run
+    // writes the combined file, so the path is never opened here.
+    exp::RunOptions run;
+    run.metricsPath = "unused.jsonl";
+    run.metricsInterval = 32;
+    run.profile = true;
+    exp::Recording rec;
+    exp::Campaign::runCell(spec, cells[0], topo, run, {}, &rec);
 
-    ASSERT_FALSE(lines.empty());
-    for (const JsonValue &r : parseLines(lines))
+    ASSERT_FALSE(rec.metrics.empty());
+    for (const JsonValue &r : parseLines(rec.metrics))
         EXPECT_EQ(r["cell"].asString(), cells[0].id);
-    EXPECT_GT(prof.cycles(), 0u);
+    EXPECT_GT(rec.profile.cycles(), 0u);
 }
 
 TEST(CampaignMetrics, CombinedFileBitIdenticalAcrossWorkerCounts)
@@ -606,12 +607,12 @@ TEST(CampaignMetrics, CombinedFileBitIdenticalAcrossWorkerCounts)
     const auto runWith = [&](int jobs, const char *name) {
         exp::CampaignOptions opt;
         opt.jobs = jobs;
-        opt.metricsPath = (dir / name).string();
-        opt.metricsInterval = 32;
+        opt.run.metricsPath = (dir / name).string();
+        opt.run.metricsInterval = 32;
         exp::Campaign c(spec, opt);
         c.run();
-        std::ifstream in(opt.metricsPath);
-        EXPECT_TRUE(in.good()) << opt.metricsPath;
+        std::ifstream in(opt.run.metricsPath);
+        EXPECT_TRUE(in.good()) << opt.run.metricsPath;
         std::stringstream ss;
         ss << in.rdbuf();
         return ss.str();

@@ -3,7 +3,7 @@
  * Telemetry subsystem tests: the JSON document model (round-trips),
  * Stats::toJson / latencyPercentile edges, the trace sinks (JSONL and
  * Chrome trace_event), deadlock forensics cross-checked against the
- * oracle, the bench JSON export, and the hardened bench option parser.
+ * oracle, the bench JSON export, and the shared run-flag table.
  */
 
 #include <cstdio>
@@ -14,8 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "SpinTestUtil.hh"
-#include "bench/BenchUtil.hh"
 #include "deadlock/OracleDetector.hh"
+#include "exp/RunOptions.hh"
 #include "fault/FaultSchedule.hh"
 #include "obs/Forensics.hh"
 #include "obs/Json.hh"
@@ -111,6 +111,27 @@ TEST(Json, ParseRejectsGarbage)
     EXPECT_TRUE(JsonValue::parse("[1,2,]", &err).isNull());
     EXPECT_TRUE(JsonValue::parse("{} x", &err).isNull());
     EXPECT_TRUE(JsonValue::parse("", &err).isNull());
+}
+
+TEST(Json, FileReaderRejectsMalformedAndNullDocuments)
+{
+    // Every spec, schedule, trace and cache reader goes through
+    // readJsonFile, so each failure must come with a reason.
+    const std::string path = testing::TempDir() + "/spinnoc_read_json.json";
+    const auto readBack = [&](const char *text, std::string &err) {
+        std::ofstream(path) << text;
+        return obs::readJsonFile(path, err);
+    };
+    std::string err;
+    EXPECT_TRUE(readBack("{\"a\":", err).isNull());
+    EXPECT_FALSE(err.empty());
+    EXPECT_TRUE(readBack("null", err).isNull());
+    EXPECT_FALSE(err.empty());
+    EXPECT_EQ(readBack("{\"a\": 1}", err)["a"].asU64(), 1u);
+    EXPECT_TRUE(err.empty()) << err;
+    std::remove(path.c_str());
+    EXPECT_TRUE(obs::readJsonFile(path, err).isNull());
+    EXPECT_NE(err.find(path), std::string::npos) << err;
 }
 
 TEST(Json, ParseUnicodeEscape)
@@ -435,15 +456,15 @@ TEST(Telemetry, DumpParsesAndMatchesLiveState)
 }
 
 // ---------------------------------------------------------------------
-// Bench harness: JSON export and option parsing
+// Bench harness: JSON export and the run-flag table
 // ---------------------------------------------------------------------
 
 TEST(BenchJson, ReporterCollectsSweepsUnderRoot)
 {
-    bench::Options opt;
+    exp::RunOptions opt;
     opt.seed = 7;
     opt.seedSet = true;
-    bench::BenchReporter report("unit_test_bench", opt);
+    exp::BenchReporter report("unit_test_bench", opt);
     JsonValue row = JsonValue::object();
     row.set("rate", JsonValue(0.1));
     row.set("onsetRate", JsonValue(0.45));
@@ -465,25 +486,25 @@ TEST(BenchJson, ReporterCollectsSweepsUnderRoot)
 namespace
 {
 
-/** Every row name of the bench flag table. */
+/** Every long name of the run-flag table. */
 std::vector<std::string>
-allBenchFlags()
+allRunFlags()
 {
     std::vector<std::string> names;
-    for (const exp::ArgSpec &spec : bench::Options().flags())
-        names.push_back(spec.name);
+    for (const exp::ArgSpec &spec : exp::RunOptions().flags())
+        names.push_back(spec.name.substr(spec.name.rfind(' ') + 1));
     return names;
 }
 
-bench::Options
+exp::RunOptions
 parseArgs(std::vector<const char *> argv, bool &ok, std::string &err,
-          const std::vector<std::string> &accepted = allBenchFlags())
+          const std::vector<std::string> &accepted = allRunFlags())
 {
     argv.insert(argv.begin(), "bench");
-    bench::Options o;
-    ok = bench::Options::parseInto(
-        o, static_cast<int>(argv.size()),
-        const_cast<char **>(argv.data()), accepted, err);
+    exp::RunOptions o;
+    ok = exp::parseArgs(static_cast<int>(argv.size()),
+                        const_cast<char **>(argv.data()),
+                        o.flags(accepted), err);
     return o;
 }
 
@@ -524,11 +545,11 @@ TEST(BenchOptions, ParsesAllFlags)
 {
     bool ok = false;
     std::string err;
-    const bench::Options o = parseArgs(
+    const exp::RunOptions o = parseArgs(
         {"--fast", "--seed", "77", "--threads", "4", "--reliability",
          "--json", "out.json", "--metrics", "m.jsonl",
          "--metrics-interval", "128", "--profile", "--trace", "t.json",
-         "--faults", "f.json", "--wall-limit", "9"},
+         "--faults", "f.json", "--wall-limit", "9", "--audit", "64"},
         ok, err);
     ASSERT_TRUE(ok) << err;
     EXPECT_TRUE(o.fast);
@@ -543,34 +564,39 @@ TEST(BenchOptions, ParsesAllFlags)
     EXPECT_EQ(o.tracePath, "t.json");
     EXPECT_EQ(o.faultsPath, "f.json");
     EXPECT_EQ(o.wallLimit, 9u);
+    EXPECT_EQ(o.auditInterval, 64u);
+
+    // -t abbreviates --threads wherever --threads is accepted.
+    EXPECT_EQ(parseArgs({"-t4"}, ok, err, {"--threads"}).threads, 4u);
+    EXPECT_TRUE(ok) << err;
 }
 
 TEST(BenchOptions, SeedAndReliabilityApplyToPreset)
 {
     bool ok = false;
     std::string err;
-    const bench::Options o =
+    const exp::RunOptions o =
         parseArgs({"--seed", "5", "--reliability"}, ok, err);
     ASSERT_TRUE(ok) << err;
 
     ConfigPreset p = meshPresets3Vc()[0];
-    o.apply(p);
+    o.apply(p.cfg);
     EXPECT_EQ(p.cfg.seed, 5u);
     EXPECT_TRUE(p.cfg.reliability.enabled);
     EXPECT_EQ(p.cfg.reliability.ackTimeout,
               ReliabilityConfig{}.ackTimeout); // knobs keep defaults
 
-    bench::Options no_seed;
+    exp::RunOptions no_seed;
     p = meshPresets3Vc()[0];
     p.cfg.seed = 99;
-    no_seed.apply(p);
+    no_seed.apply(p.cfg);
     EXPECT_EQ(p.cfg.seed, 99u); // no --seed: preset untouched
     EXPECT_FALSE(p.cfg.reliability.enabled);
 }
 
 TEST(BenchOptions, UsageListsEveryFlagOnce)
 {
-    bench::Options o;
+    exp::RunOptions o;
     const std::vector<exp::ArgSpec> flags = o.flags();
     const std::string text = exp::usage(flags);
     for (const exp::ArgSpec &spec : flags) {

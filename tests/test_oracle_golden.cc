@@ -17,13 +17,13 @@
 #include <memory>
 #include <string>
 
+#include "common/Hash.hh"
 #include "deadlock/OracleDetector.hh"
 #include "exp/SweepSpec.hh"
 #include "fault/FaultSchedule.hh"
 #include "network/NetworkBuilder.hh"
 #include "router/Router.hh"
 #include "traffic/SyntheticInjector.hh"
-#include "verify/Digest.hh"
 
 namespace spin
 {
@@ -78,7 +78,7 @@ observe(Network &net, double rate, std::uint64_t inj_seed, Cycle cycles)
             net.step();
         }
         const DeadlockReport rep = OracleDetector(net).detect();
-        verify::Fnv h;
+        Fnv1a h;
         int phaseOne = 0;
         for (const DeadlockMember &m : rep.members) {
             h.i64(m.router);
@@ -99,7 +99,7 @@ observe(Network &net, double rate, std::uint64_t inj_seed, Cycle cycles)
         out += line;
     }
     const std::string stats = net.stats().toJson().dump();
-    verify::Fnv h;
+    Fnv1a h;
     for (const char c : stats)
         h.u64(static_cast<unsigned char>(c));
     std::snprintf(line, sizeof line, "stats=%016llx",

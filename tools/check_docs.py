@@ -3,12 +3,12 @@
 
 Two gates, both against the working tree — no build needed:
 
-1. **Flag coverage** — every CLI flag a bench or tool actually parses
-   (the quoted ``--flag`` names in its ``ArgSpec`` rows) must appear
-   in that binary's documentation page(s). A flag added to the code
-   without a docs mention, or a flag renamed in code but not in docs,
-   fails here. The source → page mapping lives
-   in ``FLAG_TARGETS`` below; extend it when adding a new CLI surface.
+1. **Flag coverage** — every CLI flag a front-end parses (the name of
+   each ``ArgSpec`` row: ``argU64("--seed", ...)``) must appear in that
+   front-end's documentation page(s). A flag added to the code without
+   a docs mention, or a flag renamed in code but not in docs, fails
+   here. The source → page mapping lives in ``FLAG_TARGETS`` below;
+   extend it when adding a new CLI surface.
 
 2. **Link integrity** — every intra-repo markdown link
    (``[text](relative/path)``) in the repo's documentation must
@@ -28,34 +28,33 @@ import os
 import re
 import sys
 
-# Each entry: (source file with the ArgSpec/usage strings,
-#              pages where those flags must be documented,
-#              flags exempt from the requirement).
+# Each entry: (source file with ArgSpec rows,
+#              pages where those flags must be documented).
 # A flag passes when at least one of the pages mentions it verbatim.
-GENERIC = {"--help"}
+# -h/--help is generated by exp::parseCommandLine, not a row of any
+# source here.
 FLAG_TARGETS = [
-    ("tools/spin_sweep.cc",
-     ["docs/SWEEP.md"], GENERIC),
-    ("tools/spin_lint.cc",
-     ["docs/VERIFICATION.md"], GENERIC),
-    ("tools/spin_model.cc",
-     ["docs/VERIFICATION.md"], GENERIC),
-    # Every bench flag is one row of bench::Options::flags() in
-    # BenchUtil.hh, documented in the regeneration guide.
-    ("bench/BenchUtil.hh",
-     ["EXPERIMENTS.md", "README.md"], GENERIC),
+    ("tools/spin_sweep.cc", ["docs/SWEEP.md"]),
+    ("tools/spin_lint.cc", ["docs/VERIFICATION.md"]),
+    ("tools/spin_model.cc", ["docs/VERIFICATION.md"]),
+    # The shared run flags (exp::RunOptions::flags()); spin_sweep and
+    # every bench accept a subset of them.
+    ("src/exp/RunOptions.cc",
+     ["EXPERIMENTS.md", "README.md", "docs/SWEEP.md"]),
+    ("examples/spin_sim.cpp", ["README.md"]),
+    ("examples/deadlock_anatomy.cpp", ["README.md"]),
 ]
 
 # Documentation scanned for links: every tracked .md at the repo root
 # and under docs/.
 LINK_DIRS = [".", "docs"]
 
-# "--flag" opening a C string literal, after an optional short alias:
-# ArgSpec rows quote their names exactly ('argU64("--seed", ...)',
-# 'argU64("-j, --jobs", ...)'), so quoted occurrences are precise —
-# prose em-dashes ("a -- b") and flags mentioned inside help text never
-# match.
-FLAG_RE = re.compile(r'"(?:-[a-zA-Z], )?(--[a-z][a-z0-9-]*)')
+# The name of an ArgSpec row constructor, after an optional short
+# alias: 'argU64("--seed", ...)', 'argU64("-j, --jobs", ...)'. Flags
+# quoted anywhere else (help text, usage errors, the accepted subsets a
+# bench passes to RunOptions::flags) are not rows and never match.
+FLAG_RE = re.compile(
+    r'\barg(?:U64|F64|Str|Flag)\(\s*"(?:-[a-zA-Z], )?(--[a-z][a-z0-9-]*)"')
 
 # [text](target) markdown links, ignoring images' leading '!' (still a
 # path worth checking) and fenced ``` blocks handled by the caller.
@@ -77,11 +76,13 @@ def read(path):
 
 def check_flags(root):
     errors = []
-    for src, pages, exempt in FLAG_TARGETS:
+    for src, pages in FLAG_TARGETS:
         src_path = os.path.join(root, src)
         if not os.path.exists(src_path):
             fail_setup(f"{src} vanished; update FLAG_TARGETS")
-        flags = sorted(set(FLAG_RE.findall(read(src_path))) - exempt)
+        flags = sorted(set(FLAG_RE.findall(read(src_path))))
+        if not flags:
+            fail_setup(f"{src} has no ArgSpec rows; update FLAG_TARGETS")
         docs = ""
         for page in pages:
             page_path = os.path.join(root, page)

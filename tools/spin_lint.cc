@@ -52,7 +52,6 @@ struct Options
     std::string dotDir;
     bool sweep = false;
     bool quiet = false;
-    bool help = false;
 };
 
 /** A row is healthy when the declaration matches the verdict and any
@@ -211,7 +210,7 @@ runSweep(const Options &o)
         doc.set("mode", "sweep");
         doc.set("failures", failures);
         doc.set("rows", std::move(rows));
-        if (!writeFile(o.jsonPath, doc.dump(2) + "\n")) {
+        if (!obs::writeJsonFile(o.jsonPath, doc)) {
             std::fprintf(stderr, "cannot write %s\n", o.jsonPath.c_str());
             return 1;
         }
@@ -241,7 +240,7 @@ runSingle(const Options &o)
         return 1;
     }
     if (!o.jsonPath.empty() &&
-        !writeFile(o.jsonPath, rep.toJson().dump(2) + "\n")) {
+        !obs::writeJsonFile(o.jsonPath, rep.toJson())) {
         std::fprintf(stderr, "cannot write %s\n", o.jsonPath.c_str());
         return 1;
     }
@@ -254,7 +253,7 @@ int
 main(int argc, char **argv)
 {
     Options o;
-    const std::vector<exp::ArgSpec> specs = {
+    std::vector<exp::ArgSpec> specs = {
         exp::argStr("--topology", &o.topology,
                     "mesh<X>x<Y> | torus<X>x<Y> | ring<N> | dragonfly | "
                     "dragonfly-p<P>a<A>h<H>g<G>, as in spin_sweep specs "
@@ -286,24 +285,12 @@ main(int argc, char **argv)
         exp::argFlag("--sweep", &o.sweep,
                      "verify the shipped configuration matrix"),
         exp::argFlag("--quiet", &o.quiet, "only print violations"),
-        exp::argFlag("--help", &o.help, "this message"),
     };
-    const std::string usageText =
-        "usage: spin_lint [options]\n"
-        "static channel-dependency-graph deadlock verifier\n\n" +
-        exp::usage(specs) +
+    exp::parseCommandLine(
+        argc, argv, std::move(specs),
+        "[options]\nstatic channel-dependency-graph deadlock verifier\n\n",
         "\nexit status: 0 all contracts hold, 1 violation or "
-        "inconclusive,\n             2 usage error\n";
-    std::string err;
-    if (!exp::parseArgs(argc, argv, specs, err)) {
-        std::fprintf(stderr, "spin_lint: %s\n%s", err.c_str(),
-                     usageText.c_str());
-        return 2;
-    }
-    if (o.help) {
-        std::fputs(usageText.c_str(), stdout);
-        return 0;
-    }
+        "inconclusive,\n             2 usage error\n");
     if (o.sweep && !o.faultsPath.empty()) {
         std::fprintf(stderr, "--faults applies to a single "
                              "configuration, not --sweep\n");

@@ -31,7 +31,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,7 +59,6 @@ struct Options
     std::string replayPath;
     bool list = false;
     bool quiet = false;
-    bool help = false;
 };
 
 bool
@@ -155,8 +153,7 @@ int
 main(int argc, char **argv)
 {
     Options o;
-    std::string err;
-    const std::vector<exp::ArgSpec> specs = {
+    std::vector<exp::ArgSpec> specs = {
         exp::argStr("--scenario", &o.scenario,
                     "verify one scenario (default: all; see --list)",
                     "NAME"),
@@ -184,23 +181,13 @@ main(int argc, char **argv)
         exp::argFlag("--list", &o.list, "list scenarios and exit"),
         exp::argFlag("--quiet", &o.quiet,
                      "only print violations and the final verdict"),
-        exp::argFlag("--help", &o.help, "this message"),
     };
-    const std::string usageText =
-        "usage: spin_model [options]\n"
-        "exhaustive model checker for the SPIN recovery protocol\n\n" +
-        exp::usage(specs) +
+    const exp::Usage usage = exp::parseCommandLine(
+        argc, argv, std::move(specs),
+        "[options]\n"
+        "exhaustive model checker for the SPIN recovery protocol\n\n",
         "\nexit status: 0 verified clean / replay reproduced, 1 violation "
-        "/\n             replay mismatch, 2 usage error\n";
-    if (!exp::parseArgs(argc, argv, specs, err)) {
-        std::fprintf(stderr, "spin_model: %s\n%s", err.c_str(),
-                     usageText.c_str());
-        return 2;
-    }
-    if (o.help) {
-        std::fputs(usageText.c_str(), stdout);
-        return 0;
-    }
+        "/\n             replay mismatch, 2 usage error\n");
     if (o.list)
         return listScenarios();
     if (!o.replayPath.empty())
@@ -210,11 +197,8 @@ main(int argc, char **argv)
     eopt.budget = static_cast<int>(o.budget);
     eopt.maxRuns = o.maxRuns;
     eopt.checkLiveness = !o.noLiveness;
-    if (!parseMutation(o.mutate, eopt.mutation)) {
-        std::fprintf(stderr, "spin_model: unknown mutation \"%s\"\n%s",
-                     o.mutate.c_str(), usageText.c_str());
-        return 2;
-    }
+    if (!parseMutation(o.mutate, eopt.mutation))
+        usage.fail("unknown mutation \"" + o.mutate + "\"");
 
     std::vector<const Scenario *> targets;
     if (o.scenario.empty()) {
@@ -222,11 +206,8 @@ main(int argc, char **argv)
             targets.push_back(&sc);
     } else {
         const Scenario *sc = findScenario(o.scenario);
-        if (!sc) {
-            std::fprintf(stderr, "spin_model: unknown scenario \"%s\"\n%s",
-                         o.scenario.c_str(), usageText.c_str());
-            return 2;
-        }
+        if (!sc)
+            usage.fail("unknown scenario \"" + o.scenario + "\"");
         targets.push_back(sc);
     }
 
@@ -280,9 +261,7 @@ main(int argc, char **argv)
     report.set("clean", totalViolations == 0);
 
     if (!o.jsonPath.empty()) {
-        std::ofstream out(o.jsonPath);
-        out << report.dump(2) << "\n";
-        if (!out) {
+        if (!obs::writeJsonFile(o.jsonPath, report)) {
             std::fprintf(stderr, "spin_model: cannot write %s\n",
                          o.jsonPath.c_str());
             return 2;

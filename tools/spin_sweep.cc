@@ -88,33 +88,25 @@ benchRecord(const SweepSpec &spec, const obs::JsonValue &results)
 int
 main(int argc, char **argv)
 {
-    std::string specArg, outDir, jsonPath, benchJsonPath, faultsPath;
-    std::string metricsPath;
-    std::uint64_t jobs = 1, threads = 1, warmup = 0, measure = 0;
-    std::uint64_t metricsInterval = 256, auditInterval = 0;
+    std::string specArg, outDir, benchJsonPath;
+    std::uint64_t jobs = 1, warmup = 0, measure = 0;
     bool warmupSet = false, measureSet = false;
-    bool fast = false, resume = false, progress = false, live = false;
-    bool profile = false;
-    bool noCells = false, printCells = false, list = false, help = false;
-    bool reliability = false;
-    std::uint64_t wallLimit = 0;
+    bool noCells = false, printCells = false, list = false;
+    CampaignOptions copt;
+    RunOptions &run = copt.run;
 
-    const std::vector<ArgSpec> specs = {
+    std::vector<ArgSpec> specs = {
         argStr("--spec", &specArg, "built-in spec name or JSON spec file",
                "NAME|FILE"),
         argU64("-j, --jobs", &jobs,
                "worker threads, one cell each (default 1)"),
-        argU64("-t, --threads", &threads,
-               "threads inside each cell's simulation (default 1; results "
-               "bit-identical for any value, docs/SCALING.md)"),
         argStr("--out", &outDir,
                "per-cell result dir (default sweep-out/<spec>); enables "
                "resume",
                "DIR"),
         argFlag("--no-cells", &noCells, "do not write per-cell files"),
-        argFlag("--resume", &resume, "reuse finished cells from the out dir"),
-        argStr("--json", &jsonPath,
-               "aggregated results JSON (default <out>/results.json)"),
+        argFlag("--resume", &copt.resume,
+                "reuse finished cells from the out dir"),
         argStr("--bench-json", &benchJsonPath,
                "write the digest record (BENCH_sweep.json format), plus "
                "the phase profile under --profile"),
@@ -122,57 +114,34 @@ main(int argc, char **argv)
                &warmupSet),
         argU64("--measure", &measure, "override the spec's measure window",
                &measureSet),
-        argFlag("--fast", &fast, "quarter-scale warmup/measure"),
-        argStr("--faults", &faultsPath,
-               "inject a spin-faults/v2 schedule into every cell "
-               "(docs/FAULTS.md)"),
-        argStr("--metrics", &metricsPath,
-               "combined spin-metrics/v2 JSONL of every simulated cell "
-               "(docs/OBSERVABILITY.md)"),
-        argU64("--metrics-interval", &metricsInterval,
-               "metrics window in cycles (default 256)"),
-        argU64("--audit", &auditInterval,
-               "run the invariant auditor every N cycles in every cell; "
-               "fail fast with a spin-audit/v1 report on violation"),
-        argFlag("--profile", &profile, "per-phase wall-clock attribution"),
-        argFlag("--reliability", &reliability,
-                "run every cell with end-to-end reliable delivery on "
-                "(docs/FAULTS.md)"),
-        argU64("--wall-limit", &wallLimit,
-               "per-cell wall-clock budget in seconds; overruns dump "
-               "telemetry and fail fast (0 = off)"),
-        argFlag("--live", &live,
+        argFlag("--live", &copt.live,
                 "single-line progress meter on stderr (auto when stderr "
                 "is a TTY)"),
-        argFlag("--progress", &progress, "per-cell progress on stderr"),
+        argFlag("--progress", &copt.progress, "per-cell progress on stderr"),
         argFlag("--cells", &printCells,
                 "print the cell expansion and exit"),
         argFlag("--list", &list, "list built-in specs and presets"),
-        argFlag("-h, --help", &help, "this message"),
     };
-    const std::string usageText =
-        "usage: spin_sweep --spec NAME|FILE [options]\n" + usage(specs);
-    std::string err;
-    if (!parseArgs(argc, argv, specs, err)) {
-        std::fprintf(stderr, "spin_sweep: %s\n%s", err.c_str(),
-                     usageText.c_str());
-        return 2;
+    for (ArgSpec &row :
+         run.flags({"--fast", "--threads", "--reliability", "--json",
+                    "--metrics", "--metrics-interval", "--profile",
+                    "--faults", "--wall-limit", "--audit"})) {
+        specs.push_back(std::move(row));
     }
-    if (help) {
-        std::printf("%s", usageText.c_str());
-        return 0;
-    }
+    const Usage usage = parseCommandLine(
+        argc, argv, std::move(specs), "--spec NAME|FILE [options]\n",
+        "\n--fast quarters the spec's windows; --reliability runs every "
+        "cell with the\nprotocol on; --wall-limit and --audit apply per "
+        "cell; --json defaults to\n<out>/results.json.\n");
     if (list) {
         listBuiltins();
         return 0;
     }
-    if (specArg.empty()) {
-        std::fprintf(stderr, "spin_sweep: --spec is required\n%s",
-                     usageText.c_str());
-        return 2;
-    }
+    if (specArg.empty())
+        usage.fail("--spec is required");
 
     SweepSpec spec;
+    std::string err;
     if (!builtinSpec(specArg, spec) &&
         !SweepSpec::fromFile(specArg, spec, err)) {
         std::fprintf(stderr, "spin_sweep: %s\n", err.c_str());
@@ -182,11 +151,11 @@ main(int argc, char **argv)
         spec.warmup = warmup;
     if (measureSet)
         spec.measure = measure;
-    if (fast) {
+    if (run.fast) {
         spec.warmup /= 4;
         spec.measure = std::max<Cycle>(spec.measure / 4, 1);
     }
-    if (reliability)
+    if (run.reliability)
         spec.reliability = {true};
 
     const std::vector<Cell> cells = spec.expand();
@@ -199,38 +168,29 @@ main(int argc, char **argv)
         return 0;
     }
 
-    CampaignOptions copt;
     copt.jobs = static_cast<int>(jobs);
-    copt.threads = static_cast<int>(threads);
-    copt.resume = resume;
-    copt.progress = progress;
-    copt.metricsPath = metricsPath;
-    copt.metricsInterval = metricsInterval;
-    copt.auditInterval = auditInterval;
-    copt.wallLimitSeconds = wallLimit;
-    copt.profile = profile;
     // The meter is for humans: auto-enable on a TTY unless per-cell
     // logging was requested, which it would overwrite.
-    copt.live = live || (!progress && isatty(fileno(stderr)) != 0);
-    if (!faultsPath.empty() &&
-        !fault::FaultSchedule::fromFile(faultsPath, copt.faultSchedule,
-                                        err)) {
+    copt.live = copt.live || (!copt.progress && isatty(fileno(stderr)) != 0);
+    fault::FaultSchedule faults;
+    if (!run.faultsPath.empty() &&
+        !fault::FaultSchedule::fromFile(run.faultsPath, faults, err)) {
         std::fprintf(stderr, "spin_sweep: %s\n", err.c_str());
         return 2;
     }
     if (!noCells)
         copt.cellDir = outDir.empty() ? "sweep-out/" + spec.name : outDir;
-    if (jsonPath.empty() && !copt.cellDir.empty())
-        jsonPath = copt.cellDir + "/results.json";
+    if (run.jsonPath.empty() && !copt.cellDir.empty())
+        run.jsonPath = copt.cellDir + "/results.json";
 
     std::printf("spin_sweep: spec '%s' (%s), %zu cells, %llu jobs, "
                 "%llu threads/cell%s\n\n",
                 spec.name.c_str(), spec.topology.c_str(), cells.size(),
                 static_cast<unsigned long long>(jobs),
-                static_cast<unsigned long long>(threads),
-                resume ? ", resume" : "");
+                static_cast<unsigned long long>(run.threads),
+                copt.resume ? ", resume" : "");
 
-    Campaign campaign(spec, copt);
+    Campaign campaign(spec, copt, std::move(faults));
     obs::JsonValue results;
     try {
         results = campaign.run();
@@ -249,26 +209,21 @@ main(int argc, char **argv)
                 perf.cells, perf.cellsSimulated, perf.cellsCached,
                 perf.wallSeconds, perf.cellsPerSec(),
                 perf.cyclesPerSec());
-    if (profile)
+    if (run.profile)
         printPhaseProfile(campaign.profile().toJson());
 
     bool ok = true;
-    if (!metricsPath.empty())
-        std::printf("wrote %s\n", metricsPath.c_str());
-    if (!jsonPath.empty()) {
-        ok = writeJsonFile(jsonPath, results) && ok;
-        if (ok)
-            std::printf("wrote %s\n", jsonPath.c_str());
-    }
+    if (!run.metricsPath.empty())
+        std::printf("wrote %s\n", run.metricsPath.c_str());
+    if (!run.jsonPath.empty())
+        ok = writeOutput(run.jsonPath, results);
     if (!benchJsonPath.empty()) {
         obs::JsonValue rec = benchRecord(spec, results);
         // Wall-clock only: the baseline checker never reads it, and
         // tools/check_metrics_overhead.py gates its telemetry share.
-        if (profile)
+        if (run.profile)
             rec.set("profile", campaign.profile().toJson());
-        ok = writeJsonFile(benchJsonPath, rec) && ok;
-        if (ok)
-            std::printf("wrote %s\n", benchJsonPath.c_str());
+        ok = writeOutput(benchJsonPath, rec) && ok;
     }
     return ok ? 0 : 1;
 }
