@@ -14,6 +14,8 @@
  */
 
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,32 +82,42 @@ main(int argc, char **argv)
                    "' (spin|static-bubble|none)");
     cfg.name = topo_s + "/" + routing_s;
 
-    std::string err;
-    std::shared_ptr<const Topology> topo =
-        topo_s.rfind("file:", 0) == 0
-            ? std::make_shared<Topology>(readTopologyFile(topo_s.substr(5)))
-            : exp::makeTopologyByName(topo_s, err);
-    if (!topo)
-        usage.fail(err);
     RoutingKind kind{};
     if (!exp::routingKindFromString(routing_s, kind))
         usage.fail("unknown routing '" + routing_s + "'");
     Pattern pattern{};
     if (!exp::patternFromString(pattern_s, pattern))
         usage.fail("unknown pattern '" + pattern_s + "'");
-    auto net = buildNetwork(topo, cfg, kind);
     InjectorConfig icfg;
     icfg.injectionRate = rate;
     icfg.seed = cfg.seed + 1;
-    SyntheticInjector inj(*net, pattern, icfg);
+
+    // A configuration the simulator rejects (FatalError) is a usage
+    // error like a malformed flag: exit 2, not an abort.
+    std::unique_ptr<Network> net;
+    std::optional<SyntheticInjector> inj;
+    try {
+        std::string err;
+        std::shared_ptr<const Topology> topo =
+            topo_s.rfind("file:", 0) == 0
+                ? std::make_shared<Topology>(
+                      readTopologyFile(topo_s.substr(5)))
+                : exp::makeTopologyByName(topo_s, err);
+        if (!topo)
+            usage.fail(err);
+        net = buildNetwork(topo, cfg, kind);
+        inj.emplace(*net, pattern, icfg);
+    } catch (const FatalError &e) {
+        usage.fail(e.what());
+    }
 
     for (Cycle i = 0; i < warmup; ++i) {
-        inj.tick();
+        inj->tick();
         net->step();
     }
     net->beginMeasurement();
     for (Cycle i = 0; i < measure; ++i) {
-        inj.tick();
+        inj->tick();
         net->step();
     }
 

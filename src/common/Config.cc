@@ -36,6 +36,11 @@ NetworkConfig::validate() const
         SPIN_FATAL("vnets must be >= 1, got ", vnets);
     if (vcsPerVnet < 1)
         SPIN_FATAL("vcsPerVnet must be >= 1, got ", vcsPerVnet);
+    // totalVcs() > 64, without overflowing the product.
+    if (vcsPerVnet > 64 / vnets) {
+        SPIN_FATAL("occupancy bitmasks support at most 64 VCs per port "
+                   "(vnets x vcsPerVnet), got ", vnets, " x ", vcsPerVnet);
+    }
     if (vcDepth < 1)
         SPIN_FATAL("vcDepth must be >= 1, got ", vcDepth);
     if (maxPacketSize < 1)

@@ -93,15 +93,15 @@ SpinManager::smPhase(Cycle now)
             if (smLines_[li].empty())
                 continue;
             const LinkSpec &spec = net_.link(li).spec();
-            for (SpecialMsg &sm : smLines_[li].drain(now)) {
+            smLines_[li].drainInto(now, [&](SpecialMsg &sm) {
                 --smsInFlight_;
                 // SMs in flight toward a router that died mid-wire are
                 // lost with it (the dead unit must not process them).
                 if (net_.faults() && net_.faults()->routerDead(spec.dst))
-                    continue;
+                    return;
                 arrivals.push_back(Arrival{spec.dst, spec.dstPort,
                                            std::move(sm)});
-            }
+            });
         }
     }
 

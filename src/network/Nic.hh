@@ -9,7 +9,6 @@
 #ifndef SPINNOC_NETWORK_NIC_HH
 #define SPINNOC_NETWORK_NIC_HH
 
-#include <deque>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "obs/Json.hh"
 #include "router/OutputUnit.hh"
 #include "sim/DelayLine.hh"
+#include "sim/Ring.hh"
 
 namespace spin
 {
@@ -108,8 +108,8 @@ class Nic
     void
     forEachQueued(F &&fn) const
     {
-        for (const PacketPtr &p : queue_)
-            fn(*p);
+        for (std::size_t i = 0; i < queue_.size(); ++i)
+            fn(*queue_[i]);
     }
     /** Visit in-flight injection flits as (arrival, LinkFlit). */
     template <typename F>
@@ -140,7 +140,7 @@ class Nic
     RouterId router_;
     PortId port_;
 
-    std::deque<PacketPtr> queue_;
+    Ring<PacketPtr> queue_;
     /** Flits of the packet currently streaming in; curIdx_ is next. */
     std::vector<Flit> cur_;
     std::size_t curIdx_ = 0;
@@ -164,7 +164,7 @@ class Nic
         bool alarmed = false;
     };
     /** Sent-but-unacked packets, oldest first. */
-    std::deque<RetxEntry> retx_;
+    std::vector<RetxEntry> retx_;
     /** Next sequence number per destination node (this NIC as source).
      *  Looked up only (never iterated), so the map is deterministic. */
     std::unordered_map<NodeId, std::uint64_t> nextSeq_;

@@ -13,10 +13,9 @@
 #ifndef SPINNOC_ROUTER_VIRTUALCHANNEL_HH
 #define SPINNOC_ROUTER_VIRTUALCHANNEL_HH
 
-#include <vector>
-
 #include "common/Packet.hh"
 #include "common/Types.hh"
+#include "sim/Ring.hh"
 
 namespace spin
 {
@@ -32,9 +31,9 @@ class VirtualChannel
   public:
     /// @name Buffer
     /// @{
-    bool empty() const { return count_ == 0; }
-    int size() const { return static_cast<int>(count_); }
-    const Flit &front() const { return buf_[head_]; }
+    bool empty() const { return buf_.empty(); }
+    int size() const { return static_cast<int>(buf_.size()); }
+    const Flit &front() const { return buf_.front(); }
     /** Packet owning the VC; nullptr when idle. */
     const PacketPtr &owner() const { return owner_; }
     /** True when every flit of the resident packet is buffered. */
@@ -84,20 +83,13 @@ class VirtualChannel
     /// @}
 
   private:
-    /**
-     * Ring buffer over a flat vector (deques allocate a chunk per VC
-     * and scatter flits; VC buffers are small and hot). Capacity grows
-     * geometrically and is retained across packets.
-     */
-    std::vector<Flit> buf_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
+    /** Flit buffer; its storage is allocated by the first flit and
+     *  retained across packets. */
+    Ring<Flit> buf_;
     PacketPtr owner_;
     bool active_ = false;
     Cycle activeSince_ = 0;
     Cycle lastProgress_ = 0;
-
-    void grow();
 };
 
 } // namespace spin

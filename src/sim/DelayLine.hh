@@ -11,20 +11,19 @@
 #ifndef SPINNOC_SIM_DELAYLINE_HH
 #define SPINNOC_SIM_DELAYLINE_HH
 
-#include <deque>
+#include <cstddef>
 #include <utility>
-#include <vector>
 
-#include "common/Logging.hh"
 #include "common/Types.hh"
+#include "sim/Ring.hh"
 
 namespace spin
 {
 
 /**
- * Delay line of items of type T ordered by arrival cycle.
+ * Delay line of items of type T ordered by arrival cycle, on a Ring.
  * Items pushed earlier always arrive no later than items pushed later
- * (latency is constant per line), so a deque stays sorted.
+ * (latency is constant per line), so the ring stays sorted.
  */
 template <typename T>
 class DelayLine
@@ -39,46 +38,24 @@ class DelayLine
     void
     push(Cycle arrival, T item)
     {
-        // In-order pushes append. (Not just a shortcut: deque::emplace
-        // at end() of an *empty* deque resolves to emplace_front, whose
-        // start cursor sits on a chunk boundary here -- that path
-        // allocates and frees a whole chunk on every push/drain pair.)
-        if (line_.empty() || line_.back().first <= arrival) {
-            line_.emplace_back(arrival, std::move(item));
-            return;
-        }
-        auto it = line_.end();
-        while (it != line_.begin() && std::prev(it)->first > arrival)
-            --it;
-        line_.emplace(it, arrival, std::move(item));
-    }
-
-    /** Pop every item whose arrival cycle is <= @p now. */
-    std::vector<T>
-    drain(Cycle now)
-    {
-        std::vector<T> out;
-        while (!line_.empty() && line_.front().first <= now) {
-            out.push_back(std::move(line_.front().second));
-            line_.pop_front();
-        }
-        return out;
+        std::size_t i = line_.size();
+        while (i > 0 && line_[i - 1].arrival > arrival)
+            --i;
+        line_.insert(i, Entry{arrival, std::move(item)});
     }
 
     /**
-     * Like drain(), but hands each arrival to @p fn instead of building
-     * a vector — the per-cycle path, where the common case is "nothing
-     * arrived" and even the empty-vector return would churn. @p fn gets
-     * a mutable reference and may move from it; the item is popped
-     * right after the call.
+     * Pop every item whose arrival cycle is <= @p now, oldest first,
+     * and hand each to @p fn as a mutable reference it may move from.
+     * The item leaves the line before @p fn runs.
      */
     template <typename F>
     void
     drainInto(Cycle now, F &&fn)
     {
-        while (!line_.empty() && line_.front().first <= now) {
-            fn(line_.front().second);
-            line_.pop_front();
+        while (!line_.empty() && line_.front().arrival <= now) {
+            Entry e = line_.pop_front();
+            fn(e.item);
         }
     }
 
@@ -88,17 +65,23 @@ class DelayLine
     /** Drop every pending item (state restore). */
     void clear() { line_.clear(); }
 
-    /** Inspect pending items without disturbing them (audits). */
+    /** Inspect pending items as (arrival, item), in arrival order,
+     *  without disturbing them (audits, digests). */
     template <typename F>
     void
     forEach(F &&fn) const
     {
-        for (const auto &[arrival, item] : line_)
-            fn(arrival, item);
+        for (std::size_t i = 0; i < line_.size(); ++i)
+            fn(line_[i].arrival, line_[i].item);
     }
 
   private:
-    std::deque<std::pair<Cycle, T>> line_;
+    struct Entry
+    {
+        Cycle arrival = 0;
+        T item{};
+    };
+    Ring<Entry> line_;
 };
 
 } // namespace spin

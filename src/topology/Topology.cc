@@ -1,5 +1,8 @@
 #include "topology/Topology.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/Logging.hh"
 
 namespace spin
@@ -68,12 +71,14 @@ Topology::finalizeImpl(bool strict)
     const int n = numRouters();
 
     portBase_.assign(n + 1, 0);
+    int max_radix = 0;
     for (int r = 0; r < n; ++r) {
         if (radix_[r] > 64) {
             SPIN_FATAL("router ", r, " has ", radix_[r],
                        " ports; port masks support at most 64");
         }
         portBase_[r + 1] = portBase_[r] + radix_[r];
+        max_radix = std::max(max_radix, radix_[r]);
     }
     outLinkIdx_.assign(portBase_[n], -1);
     inLinkIdx_.assign(portBase_[n], -1);
@@ -137,11 +142,16 @@ Topology::finalizeImpl(bool strict)
 
     // Port p of s is minimal toward t iff dist(neighbor(p), t) ==
     // dist(s, t) - 1. Unreachable pairs (-1) never match: no distance
-    // is -2.
-    minMask_.assign(nn, 0);
+    // is -2. Each source's row is built as full 64-bit masks, then
+    // packed to maskBytes_ bytes per pair.
+    maskBytes_ = std::max(1, (max_radix + 7) / 8);
+    keepMask_ = maskBytes_ == 8 ? ~std::uint64_t{0}
+                                : (std::uint64_t{1} << 8 * maskBytes_) - 1;
+    minMask_.assign(nn * maskBytes_ + 7, 0);
+    std::vector<std::uint64_t> mask(n);
     for (int s = 0; s < n; ++s) {
         const std::int16_t *ds = &dist_[pairIndex(s, 0)];
-        std::uint64_t *mask = &minMask_[pairIndex(s, 0)];
+        std::fill(mask.begin(), mask.end(), 0);
         for (PortId p = 0; p < radix_[s]; ++p) {
             const std::int32_t li = outLinkIdx_[portBase_[s] + p];
             if (li < 0)
@@ -153,6 +163,11 @@ Topology::finalizeImpl(bool strict)
         }
         // t == s matched every neighbor that cannot reach s (-1 == 0 - 1).
         mask[s] = 0;
+        std::uint8_t *packed = &minMask_[pairIndex(s, 0) * maskBytes_];
+        for (int t = 0; t < n; ++t) {
+            for (int b = 0; b < maskBytes_; ++b)
+                *packed++ = static_cast<std::uint8_t>(mask[t] >> (8 * b));
+        }
     }
 
     finalized_ = true;
@@ -201,7 +216,14 @@ PortSet
 Topology::minimalPorts(RouterId from, RouterId to) const
 {
     checkFinalized();
-    return PortSet(minMask_[pairIndex(from, to)]);
+    // One unaligned 8-byte load (the table ends in 7 bytes of padding),
+    // cut to the table's width.
+    static_assert(std::endian::native == std::endian::little,
+                  "route masks are read as little-endian words");
+    std::uint64_t word;
+    std::memcpy(&word, &minMask_[pairIndex(from, to) * maskBytes_],
+                sizeof word);
+    return PortSet(word & keepMask_);
 }
 
 } // namespace spin

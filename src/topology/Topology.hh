@@ -237,9 +237,14 @@ class Topology
     std::vector<std::vector<NodeId>> nodesAt_;
 
     // Per router pair, at from * numRouters() + to: hop distance (-1
-    // when unreachable) and the minimal next-hop port mask.
+    // when unreachable) and the minimal next-hop port mask. A mask takes
+    // maskBytes_ = ceil(max radix / 8) bytes, lowest ports first; the
+    // table ends in 7 bytes of padding so a lookup is one 8-byte load
+    // cut down by keepMask_.
     std::vector<std::int16_t> dist_;
-    std::vector<std::uint64_t> minMask_;
+    std::vector<std::uint8_t> minMask_;
+    int maskBytes_ = 0;
+    std::uint64_t keepMask_ = 0;
 
     bool finalized_ = false;
     bool partial_ = false;

@@ -1,5 +1,7 @@
 #include "traffic/SyntheticInjector.hh"
 
+#include <cmath>
+
 #include "common/Logging.hh"
 #include "network/Network.hh"
 
@@ -10,8 +12,6 @@ SyntheticInjector::SyntheticInjector(Network &net, Pattern pattern,
                                      const InjectorConfig &cfg)
     : net_(net), pattern_(pattern, net.topo()), cfg_(cfg), rng_(cfg.seed)
 {
-    if (cfg_.injectionRate < 0.0)
-        SPIN_FATAL("negative injection rate");
     if (cfg_.controlFraction < 0.0 || cfg_.controlFraction > 1.0)
         SPIN_FATAL("control fraction must be in [0, 1]");
     if (cfg_.dataSize > net.config().maxPacketSize)
@@ -24,6 +24,10 @@ SyntheticInjector::SyntheticInjector(Network &net, Pattern pattern,
 void
 SyntheticInjector::recomputeProb()
 {
+    if (!std::isfinite(cfg_.injectionRate) || cfg_.injectionRate < 0.0) {
+        SPIN_FATAL("injection rate must be a finite number >= 0, got ",
+                   cfg_.injectionRate);
+    }
     const double avg_flits =
         cfg_.controlFraction * cfg_.controlSize +
         (1.0 - cfg_.controlFraction) * cfg_.dataSize;

@@ -1,11 +1,15 @@
 /**
  * @file
- * Unit tests: common module (types, RNG, packets, config, delay line).
+ * Unit tests: common module (types, RNG, packets, config, ring and
+ * delay line).
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/Config.hh"
 #include "common/Logging.hh"
@@ -13,11 +17,30 @@
 #include "common/Random.hh"
 #include "sim/Clock.hh"
 #include "sim/DelayLine.hh"
+#include "sim/Ring.hh"
 
 namespace spin
 {
 namespace
 {
+
+/** Items of @p dl arrived by @p now, oldest first. */
+std::vector<int>
+drainAll(DelayLine<int> &dl, Cycle now)
+{
+    std::vector<int> out;
+    dl.drainInto(now, [&](int v) { out.push_back(v); });
+    return out;
+}
+
+/** Pending items of @p dl as (arrival, item), in visiting order. */
+std::vector<std::pair<Cycle, int>>
+pending(const DelayLine<int> &dl)
+{
+    std::vector<std::pair<Cycle, int>> out;
+    dl.forEach([&](Cycle at, int v) { out.emplace_back(at, v); });
+    return out;
+}
 
 TEST(FlitType, HeadTailPredicates)
 {
@@ -144,6 +167,20 @@ TEST(Config, ValidatesStaticBubbleVcs)
     EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(Config, ValidatesVcsPerPort)
+{
+    // Occupancy bitmasks hold 64 VCs per port.
+    NetworkConfig cfg;
+    cfg.vnets = 1;
+    cfg.vcsPerVnet = 64;
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.vcsPerVnet = 65;
+    EXPECT_THROW(cfg.validate(), FatalError);
+    cfg.vnets = 13;
+    cfg.vcsPerVnet = 5;
+    EXPECT_THROW(cfg.validate(), FatalError);
+}
+
 TEST(Config, TotalVcs)
 {
     NetworkConfig cfg;
@@ -169,12 +206,12 @@ TEST(DelayLine, InOrderDelivery)
     dl.push(5, 1);
     dl.push(5, 2);
     dl.push(7, 3);
-    EXPECT_TRUE(dl.drain(4).empty());
-    const auto at5 = dl.drain(5);
+    EXPECT_TRUE(drainAll(dl, 4).empty());
+    const auto at5 = drainAll(dl, 5);
     ASSERT_EQ(at5.size(), 2u);
     EXPECT_EQ(at5[0], 1);
     EXPECT_EQ(at5[1], 2);
-    const auto at7 = dl.drain(10);
+    const auto at7 = drainAll(dl, 10);
     ASSERT_EQ(at7.size(), 1u);
     EXPECT_EQ(at7[0], 3);
     EXPECT_TRUE(dl.empty());
@@ -186,11 +223,135 @@ TEST(DelayLine, OutOfOrderPushSorts)
     dl.push(9, 1);
     dl.push(4, 2); // earlier arrival pushed later
     dl.push(6, 3);
-    const auto all = dl.drain(20);
+    const auto all = drainAll(dl, 20);
     ASSERT_EQ(all.size(), 3u);
     EXPECT_EQ(all[0], 2);
     EXPECT_EQ(all[1], 3);
     EXPECT_EQ(all[2], 1);
+}
+
+TEST(Ring, AllocatesOnFirstPushAndDoubles)
+{
+    Ring<int> r;
+    EXPECT_EQ(r.capacity(), 0u);
+    r.push_back(1);
+    EXPECT_EQ(r.capacity(), 4u);
+    for (int i = 2; i <= 5; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.capacity(), 8u);
+    for (int i = 1; i <= 5; ++i)
+        EXPECT_EQ(r.pop_front(), i);
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.capacity(), 8u); // kept across drains
+}
+
+TEST(Ring, PopReleasesTheSlotsReference)
+{
+    Ring<std::shared_ptr<int>> r;
+    auto p = std::make_shared<int>(7);
+    r.push_back(p);
+    EXPECT_EQ(p.use_count(), 2);
+    r.pop_front();
+    EXPECT_EQ(p.use_count(), 1);
+
+    DelayLine<std::shared_ptr<int>> dl;
+    dl.push(3, p);
+    dl.drainInto(3, [](std::shared_ptr<int> &) {});
+    EXPECT_EQ(p.use_count(), 1);
+}
+
+TEST(DelayLine, GrowsWhileWrapped)
+{
+    // Capacity 4: drain two of three, so the next pushes wrap the head
+    // around the slot array; the fifth pending item forces a growth.
+    DelayLine<int> dl;
+    dl.push(1, 10);
+    dl.push(2, 11);
+    dl.push(3, 12);
+    EXPECT_EQ(drainAll(dl, 2), (std::vector<int>{10, 11}));
+    for (int i = 0; i < 6; ++i)
+        dl.push(4 + i, 13 + i);
+    EXPECT_EQ(dl.size(), 7u);
+    EXPECT_EQ(drainAll(dl, 5), (std::vector<int>{12, 13, 14}));
+    for (int i = 0; i < 6; ++i)
+        dl.push(10 + i, 19 + i);
+    EXPECT_EQ(drainAll(dl, 100),
+              (std::vector<int>{15, 16, 17, 18, 19, 20, 21, 22, 23, 24}));
+    EXPECT_TRUE(dl.empty());
+}
+
+TEST(DelayLine, OutOfOrderInsertAcrossWrap)
+{
+    // Head at slot 3 of 4 and the pending items straddle the wrap; the
+    // early push must land between them.
+    DelayLine<int> dl;
+    for (int i = 0; i < 3; ++i)
+        dl.push(i, i);
+    EXPECT_EQ(drainAll(dl, 2).size(), 3u);
+    dl.push(10, 1);
+    dl.push(20, 2);
+    dl.push(30, 3);
+    dl.push(15, 4); // crosses the wrap point going back
+    EXPECT_EQ(pending(dl),
+              (std::vector<std::pair<Cycle, int>>{
+                  {10, 1}, {15, 4}, {20, 2}, {30, 3}}));
+    dl.push(5, 5); // new front, shifts every item
+    EXPECT_EQ(drainAll(dl, 100), (std::vector<int>{5, 1, 4, 2, 3}));
+}
+
+TEST(DelayLine, EqualArrivalsKeepPushOrder)
+{
+    DelayLine<int> dl;
+    dl.push(8, 1);
+    dl.push(8, 2);
+    dl.push(4, 3);
+    dl.push(8, 4);
+    dl.push(4, 5); // behind the earlier 4, ahead of every 8
+    dl.push(6, 6);
+    EXPECT_EQ(drainAll(dl, 100), (std::vector<int>{3, 5, 6, 1, 2, 4}));
+}
+
+TEST(DelayLine, ForEachVisitsInDrainOrder)
+{
+    DelayLine<int> dl;
+    dl.push(1, 0);
+    dl.push(2, 0);
+    EXPECT_EQ(drainAll(dl, 2).size(), 2u); // head off slot 0
+    dl.push(9, 1);
+    dl.push(3, 2);
+    dl.push(7, 3);
+    dl.push(3, 4);
+    dl.push(12, 5);
+    const auto seen = pending(dl);
+    ASSERT_EQ(seen.size(), 5u);
+    std::vector<int> order;
+    for (const auto &[at, v] : seen)
+        order.push_back(v);
+    EXPECT_EQ(order, drainAll(dl, 100));
+    EXPECT_EQ(order, (std::vector<int>{2, 4, 3, 1, 5}));
+}
+
+TEST(DelayLine, ClearThenReuse)
+{
+    DelayLine<std::shared_ptr<int>> dl;
+    auto p = std::make_shared<int>(1);
+    for (int i = 0; i < 6; ++i)
+        dl.push(i, p);
+    EXPECT_EQ(p.use_count(), 7);
+    dl.clear();
+    EXPECT_TRUE(dl.empty());
+    EXPECT_EQ(p.use_count(), 1);
+
+    DelayLine<int> ints;
+    for (int i = 0; i < 3; ++i)
+        ints.push(i, i);
+    EXPECT_EQ(drainAll(ints, 1).size(), 2u);
+    ints.clear();
+    ints.push(6, 60);
+    ints.push(5, 50);
+    EXPECT_EQ(pending(ints),
+              (std::vector<std::pair<Cycle, int>>{{5, 50}, {6, 60}}));
+    EXPECT_EQ(drainAll(ints, 6), (std::vector<int>{50, 60}));
 }
 
 TEST(Logging, FatalThrows)

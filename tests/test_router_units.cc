@@ -106,6 +106,44 @@ TEST(VirtualChannelTest, ProgressTimestamps)
     EXPECT_EQ(vc.lastProgress(), 9u);
 }
 
+TEST(VirtualChannelTest, FiveFlitPacketsAcrossTheWrapPoint)
+{
+    // The first 5-flit packet grows the buffer to 8 slots; later ones
+    // start wherever the previous tail left the head, so they straddle
+    // the end of the slot array. Some packets fill the VC before the
+    // head leaves, others cut through with pushes and pops interleaved.
+    VirtualChannel vc;
+    for (int k = 0; k < 7; ++k) {
+        auto pkt = mkPkt(5, 100 + k);
+        const auto flits = makeFlits(pkt);
+        const Cycle t = 10 * k;
+        if (k % 2 == 0) {
+            for (int i = 0; i < 5; ++i)
+                vc.pushFlit(flits[i], t + i);
+            EXPECT_TRUE(vc.packetComplete());
+            EXPECT_EQ(vc.size(), 5);
+            for (int i = 0; i < 5; ++i) {
+                EXPECT_EQ(vc.front().seq, i);
+                EXPECT_EQ(vc.popFlit().pkt, pkt);
+            }
+        } else {
+            vc.pushFlit(flits[0], t);
+            vc.pushFlit(flits[1], t + 1);
+            for (int i = 0; i < 5; ++i) {
+                EXPECT_EQ(vc.front().seq, i);
+                EXPECT_EQ(vc.popFlit().seq, i);
+                if (i + 2 < 5)
+                    vc.pushFlit(flits[i + 2], t + 2 + i);
+            }
+        }
+        EXPECT_TRUE(vc.empty());
+        EXPECT_FALSE(vc.active());
+        EXPECT_EQ(vc.owner(), nullptr);
+        // pkt and its 5 flits above; no VC slot keeps a reference.
+        EXPECT_EQ(pkt.use_count(), 6);
+    }
+}
+
 TEST(OutputUnitTest, AllocateOnlyIdle)
 {
     OutputUnit ou(0, false, 3, 5);

@@ -323,13 +323,44 @@ TEST(Topology, PartialTablesLeaveUnreachablePairsEmpty)
 
 TEST(Topology, PortMasksCoverRadix64Only)
 {
-    Topology wide;
-    wide.setRouters(2, 64);
-    wide.addBiLink(0, 63, 1, 63);
-    wide.finalize();
-    const PortSet top = wide.minimalPorts(0, 1);
-    EXPECT_EQ(top.size(), 1u);
-    EXPECT_EQ(top.front(), 63);
+    // Masks are stored ceil(radix / 8) bytes wide: the top port sits in
+    // the last byte, alone (8, 16, 64) or as its only bit (9, 17).
+    for (const int radix : {8, 9, 16, 17, 64}) {
+        SCOPED_TRACE(radix);
+        Topology wide;
+        wide.setRouters(2, radix);
+        wide.addBiLink(0, radix - 1, 1, radix - 1);
+        wide.finalize();
+        const PortSet top = wide.minimalPorts(0, 1);
+        EXPECT_EQ(top.size(), 1u);
+        EXPECT_EQ(top.front(), radix - 1);
+        EXPECT_EQ(wide.minimalPorts(1, 0).front(), radix - 1);
+        EXPECT_TRUE(wide.minimalPorts(0, 0).empty());
+    }
+
+    // Mixed radix: the radix-12 hub sets a 2-byte width, and the
+    // radix-3 leaves' masks still read back exactly. Leaf i hangs off
+    // hub port hub_port[i] (both bytes, top port included) through its
+    // own port 1.
+    Topology mixed;
+    mixed.setRouters({12, 3, 3, 3});
+    const PortId hub_port[] = {0, 7, 11};
+    for (int i = 0; i < 3; ++i)
+        mixed.addBiLink(0, hub_port[i], 1 + i, 1);
+    mixed.finalize();
+    for (int i = 0; i < 3; ++i) {
+        const PortSet down = mixed.minimalPorts(0, 1 + i);
+        EXPECT_EQ(std::vector<PortId>(down.begin(), down.end()),
+                  std::vector<PortId>{hub_port[i]});
+        for (int j = 0; j < 3; ++j) {
+            if (j == i)
+                continue;
+            const PortSet up = mixed.minimalPorts(1 + i, 1 + j);
+            EXPECT_EQ(up.size(), 1u);
+            EXPECT_EQ(up.front(), 1);
+            EXPECT_EQ(mixed.distance(1 + i, 1 + j), 2);
+        }
+    }
 
     Topology too_wide;
     too_wide.setRouters(2, 65);
