@@ -42,8 +42,8 @@ deadlocks(const std::shared_ptr<const Topology> &topo, RoutingKind kind,
     opt.apply(cfg);
     auto net = buildNetwork(topo, cfg, kind);
     char lbl[96];
-    std::snprintf(lbl, sizeof(lbl), "onset|%s|%.2f",
-                  toString(pattern).c_str(), rate);
+    std::snprintf(lbl, sizeof(lbl), "onset|%s|%.2f", toString(pattern),
+                  rate);
     exp::Instruments instruments(*net, opt, lbl);
 
     InjectorConfig icfg;
@@ -90,10 +90,9 @@ onsetSweep(const char *label, const std::shared_ptr<const Topology> &topo,
             }
         }
         if (onset < 0)
-            std::printf("%-16s no deadlock up to 1.00\n",
-                        toString(pat).c_str());
+            std::printf("%-16s no deadlock up to 1.00\n", toString(pat));
         else
-            std::printf("%-16s %.2f\n", toString(pat).c_str(), onset);
+            std::printf("%-16s %.2f\n", toString(pat), onset);
         obs::JsonValue row = obs::JsonValue::object();
         row.set("pattern", obs::JsonValue(toString(pat)));
         row.set("onsetRate", obs::JsonValue(onset));

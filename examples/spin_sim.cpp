@@ -32,10 +32,12 @@ using namespace spin;
 int
 main(int argc, char **argv)
 {
-    std::string topo_s = "mesh8x8", routing_s = "favors-min";
-    std::string pattern_s = "uniform-random", scheme_s = "spin";
+    std::string topo_s = "mesh8x8";
+    std::string routing_s = toString(RoutingKind::FavorsMin);
+    std::string pattern_s = toString(Pattern::UniformRandom);
+    std::string scheme_s = toString(DeadlockScheme::Spin);
     NetworkConfig cfg;
-    std::uint64_t vcs = 1, vnets = 1, tdd = cfg.tDd;
+    cfg.vcsPerVnet = 1;
     std::uint64_t warmup = 2000, measure = 10000;
     double rate = 0.1;
     exp::RunOptions run;
@@ -46,21 +48,19 @@ main(int argc, char **argv)
                     "mesh8x8)",
                     "NAME"),
         exp::argStr("--routing", &routing_s,
-                    "xy-dor | west-first | minimal-adaptive | escape-vc | "
-                    "torus-bubble-dor | ugal-dally | ugal-spin | favors-min "
-                    "| favors-nmin (default favors-min)",
+                    nameList<RoutingKind>() + " (default " + routing_s + ")",
                     "NAME"),
-        exp::argU64("--vcs", &vcs, "VCs per vnet (default 1)"),
-        exp::argU64("--vnets", &vnets, "virtual networks (default 1)"),
+        exp::argInt("--vcs", &cfg.vcsPerVnet, "VCs per vnet (default 1)"),
+        exp::argInt("--vnets", &cfg.vnets, "virtual networks (default 1)"),
         exp::argStr("--scheme", &scheme_s,
-                    "spin | static-bubble | none (default spin)", "NAME"),
-        exp::argU64("--tdd", &tdd,
+                    nameList<DeadlockScheme>() + " (default " + scheme_s +
+                        ")",
+                    "NAME"),
+        exp::argU64("--tdd", &cfg.tDd,
                     "SPIN deadlock-detection timeout in cycles (default "
                     "128)"),
         exp::argStr("--pattern", &pattern_s,
-                    "uniform-random | bit-complement | transpose | tornado "
-                    "| bit-reverse | bit-rotation | shuffle | neighbor "
-                    "(default uniform-random)",
+                    nameList<Pattern>() + " (default " + pattern_s + ")",
                     "NAME"),
         exp::argF64("--rate", &rate,
                     "offered load in flits/node/cycle (default 0.1)"),
@@ -73,20 +73,17 @@ main(int argc, char **argv)
     const exp::Usage usage =
         exp::parseCommandLine(argc, argv, std::move(specs));
 
-    cfg.vcsPerVnet = static_cast<int>(vcs);
-    cfg.vnets = static_cast<int>(vnets);
-    cfg.tDd = tdd;
     run.apply(cfg);
-    if (!schemeFromString(scheme_s, cfg.scheme))
-        usage.fail("unknown scheme '" + scheme_s +
-                   "' (spin|static-bubble|none)");
+    if (!fromString(scheme_s, cfg.scheme))
+        usage.fail("unknown scheme '" + scheme_s + "' (" +
+                   nameList<DeadlockScheme>() + ")");
     cfg.name = topo_s + "/" + routing_s;
 
     RoutingKind kind{};
-    if (!exp::routingKindFromString(routing_s, kind))
+    if (!fromString(routing_s, kind))
         usage.fail("unknown routing '" + routing_s + "'");
     Pattern pattern{};
-    if (!exp::patternFromString(pattern_s, pattern))
+    if (!patternFromString(pattern_s, pattern))
         usage.fail("unknown pattern '" + pattern_s + "'");
     InjectorConfig icfg;
     icfg.injectionRate = rate;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/Logging.hh"
+#include "core/SpinManager.hh"
 #include "network/Network.hh"
 #include "routing/RoutingAlgorithm.hh"
 
@@ -131,23 +132,6 @@ AnalysisReport::summary() const
 
 CdgAnalyzer::CdgAnalyzer(const Network &net) : net_(net), builder_(net)
 {
-}
-
-int
-CdgAnalyzer::probeBudget() const
-{
-    // Mirrors SpinManager's effective probe cap: an explicit config
-    // value wins, otherwise min(total transit VCs, 4 * routers).
-    const NetworkConfig &cfg = net_.config();
-    if (cfg.maxProbeHops > 0)
-        return cfg.maxProbeHops;
-    const Topology &topo = net_.topo();
-    int vcs = 0;
-    for (RouterId r = 0; r < topo.numRouters(); ++r) {
-        const int nicPorts = static_cast<int>(topo.nodesAt(r).size());
-        vcs += (topo.radix(r) - nicPorts) * cfg.totalVcs();
-    }
-    return std::min(vcs, 4 * topo.numRouters());
 }
 
 bool
@@ -279,7 +263,7 @@ CdgAnalyzer::analyze(VnetId vnet, std::uint64_t max_states)
     }
 
     if (cfg.scheme == DeadlockScheme::Spin)
-        rep.probeBudget = probeBudget();
+        rep.probeBudget = probeHopCap(net_);
 
     // Witness cycles: the shortest cycle of every cyclic SCC, then
     // Johnson-enumerated ones, deduplicated up to rotation. Extracted

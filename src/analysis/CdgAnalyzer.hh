@@ -158,7 +158,6 @@ class CdgAnalyzer
     /** Static Bubble's recovery layer (the ports headPorts() gives a
      *  recovery packet) is acyclic. */
     bool staticBubbleLayerAcyclic() const;
-    int probeBudget() const;
 };
 
 } // namespace spin::analysis

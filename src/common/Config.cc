@@ -5,30 +5,6 @@
 namespace spin
 {
 
-std::string
-toString(DeadlockScheme s)
-{
-    switch (s) {
-      case DeadlockScheme::None: return "none";
-      case DeadlockScheme::Spin: return "spin";
-      case DeadlockScheme::StaticBubble: return "static-bubble";
-    }
-    return "?";
-}
-
-bool
-schemeFromString(const std::string &text, DeadlockScheme &out)
-{
-    for (const DeadlockScheme s : {DeadlockScheme::None, DeadlockScheme::Spin,
-                                   DeadlockScheme::StaticBubble}) {
-        if (toString(s) == text) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 NetworkConfig::validate() const
 {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/EnumNames.hh"
 #include "common/Types.hh"
 
 namespace spin
@@ -28,9 +29,13 @@ enum class DeadlockScheme : std::uint8_t
     StaticBubble, //!< reserved-VC timeout recovery baseline
 };
 
-std::string toString(DeadlockScheme s);
-/** Parse a scheme name as printed by toString(DeadlockScheme). */
-bool schemeFromString(const std::string &text, DeadlockScheme &out);
+/** --scheme values, also written into telemetry and lint reports. */
+inline constexpr EnumName<DeadlockScheme> kSchemeNames[] = {
+    {DeadlockScheme::None, "none"},
+    {DeadlockScheme::Spin, "spin"},
+    {DeadlockScheme::StaticBubble, "static-bubble"},
+};
+constexpr const auto &enumNames(DeadlockScheme) { return kSchemeNames; }
 
 /**
  * End-to-end reliability layer knobs (docs/FAULTS.md). Off by default:
@@ -83,16 +88,6 @@ struct NetworkConfig
     Cycle tDd = 128;
     /** Rotating-priority epoch is epochMultiplier * tDd (paper: 4). */
     int epochMultiplier = 4;
-    /**
-     * Maximum probe path length in hops; 0 selects
-     * min(total transit VC count, 4 * numRouters). The transit-VC
-     * count is the true upper bound on an elementary wait-for cycle
-     * (every hop of a loop occupies a distinct transit VC; folded
-     * loops revisit routers, so router count alone is not a bound);
-     * the 4N term keeps pathological many-VC networks from letting
-     * probes wander quasi-unboundedly.
-     */
-    int maxProbeHops = 0;
     /**
      * Settling delay, in cycles after a spin completes, before the
      * initiator launches the probe_move re-check, so rotated packets can

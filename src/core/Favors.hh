@@ -28,14 +28,16 @@ namespace spin
 class FavorsMinimal : public MinimalAdaptive
 {
   public:
-    std::string name() const override { return "favors-min"; }
+    std::string
+    name() const override { return toString(RoutingKind::FavorsMin); }
 };
 
 /** Non-minimal FAvORS (paper "FAvORS NMin"). */
 class FavorsNonMinimal : public MinimalAdaptive
 {
   public:
-    std::string name() const override { return "favors-nmin"; }
+    std::string
+    name() const override { return toString(RoutingKind::FavorsNMin); }
     bool nonMinimal() const override { return true; }
 
     void sourceRoute(Packet &pkt, RouterId src) override;

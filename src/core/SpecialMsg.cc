@@ -6,18 +6,6 @@ namespace spin
 {
 
 std::string
-toString(SmType t)
-{
-    switch (t) {
-      case SmType::Probe:     return "probe";
-      case SmType::Move:      return "move";
-      case SmType::ProbeMove: return "probe_move";
-      case SmType::KillMove:  return "kill_move";
-    }
-    return "?";
-}
-
-std::string
 SpecialMsg::toString() const
 {
     std::ostringstream os;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/EnumNames.hh"
 #include "common/Types.hh"
 
 namespace spin
@@ -28,7 +29,14 @@ enum class SmType : std::uint8_t
     KillMove,  //!< cancel a committed spin, unfreeze the loop
 };
 
-std::string toString(SmType t);
+/** SM class names in traces and counterexamples. */
+inline constexpr EnumName<SmType> kSmTypeNames[] = {
+    {SmType::Probe, "probe"},
+    {SmType::Move, "move"},
+    {SmType::ProbeMove, "probe_move"},
+    {SmType::KillMove, "kill_move"},
+};
+constexpr const auto &enumNames(SmType) { return kSmTypeNames; }
 
 /**
  * Link-contention priority (paper Sec. IV-C1):

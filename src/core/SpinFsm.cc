@@ -32,16 +32,20 @@ toString(SpinState s)
     return "?";
 }
 
-std::string
-toString(ProtocolMutation m)
+SpinState
+paperState(InitState s, bool frozenForOther)
 {
-    switch (m) {
-      case ProtocolMutation::None:               return "none";
-      case ProtocolMutation::SkipKillMove:       return "skip-kill-move";
-      case ProtocolMutation::SkipCancelUnfreeze:
-        return "skip-cancel-unfreeze";
+    if (frozenForOther)
+        return SpinState::Frozen;
+    switch (s) {
+      case InitState::Off:            return SpinState::Off;
+      case InitState::DetectDeadlock: return SpinState::DetectDeadlock;
+      case InitState::MoveWait:       return SpinState::Move;
+      case InitState::FwdProgress:    return SpinState::ForwardProgress;
+      case InitState::ProbeMoveWait:  return SpinState::ProbeMove;
+      case InitState::KillMoveWait:   return SpinState::KillMove;
     }
-    return "?";
+    return SpinState::Off;
 }
 
 bool
@@ -59,17 +63,7 @@ FsmSnapshot::operator==(const FsmSnapshot &o) const
 SpinState
 FsmSnapshot::paperState(RouterId self) const
 {
-    if (victimActive && victimSource != self)
-        return SpinState::Frozen;
-    switch (state) {
-      case InitState::Off:            return SpinState::Off;
-      case InitState::DetectDeadlock: return SpinState::DetectDeadlock;
-      case InitState::MoveWait:       return SpinState::Move;
-      case InitState::FwdProgress:    return SpinState::ForwardProgress;
-      case InitState::ProbeMoveWait:  return SpinState::ProbeMove;
-      case InitState::KillMoveWait:   return SpinState::KillMove;
-    }
-    return SpinState::Off;
+    return spin::paperState(state, victimActive && victimSource != self);
 }
 
 bool
@@ -115,15 +109,14 @@ paperTransitionAllowed(SpinState from, SpinState to)
         to == SpinState::Frozen) {
         return true;
     }
-    const auto unmap = [](SpinState s) {
-        switch (s) {
-          case SpinState::Off:             return InitState::Off;
-          case SpinState::DetectDeadlock:  return InitState::DetectDeadlock;
-          case SpinState::Move:            return InitState::MoveWait;
-          case SpinState::ForwardProgress: return InitState::FwdProgress;
-          case SpinState::ProbeMove:       return InitState::ProbeMoveWait;
-          case SpinState::KillMove:        return InitState::KillMoveWait;
-          case SpinState::Frozen:          break;
+    // Away from S_Frozen, paperState() is one-to-one: invert it by
+    // search.
+    const auto unmap = [](SpinState p) {
+        for (int i = 0; i <= static_cast<int>(InitState::KillMoveWait);
+             ++i) {
+            const auto s = static_cast<InitState>(i);
+            if (paperState(s, false) == p)
+                return s;
         }
         return InitState::Off;
     };

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/EnumNames.hh"
 #include "common/Types.hh"
 
 namespace spin
@@ -59,6 +60,14 @@ enum class SpinState : std::uint8_t
 
 std::string toString(InitState s);
 std::string toString(SpinState s);
+
+/**
+ * The paper's seven-state view (see the table in the file comment):
+ * S_Frozen while a recovery initiated elsewhere holds this router
+ * frozen (@p frozenForOther), otherwise the state initiator state @p s
+ * shows.
+ */
+SpinState paperState(InitState s, bool frozenForOther);
 
 /**
  * Victim context: this router has frozen VC(s) on behalf of a recovery
@@ -121,8 +130,8 @@ struct FsmSnapshot
     bool operator==(const FsmSnapshot &o) const;
     bool operator!=(const FsmSnapshot &o) const { return !(*this == o); }
 
-    /** The paper's seven-state view of this snapshot (the same mapping
-     *  as SpinUnit::paperState(), self-id supplied by the caller). */
+    /** The paper's seven-state view of this snapshot, taken at router
+     *  @p self. */
     SpinState paperState(RouterId self) const;
 };
 
@@ -157,7 +166,13 @@ enum class ProtocolMutation : std::uint8_t
     SkipCancelUnfreeze,
 };
 
-std::string toString(ProtocolMutation m);
+/** spin_model --mutate values, also written into counterexamples. */
+inline constexpr EnumName<ProtocolMutation> kMutationNames[] = {
+    {ProtocolMutation::None, "none"},
+    {ProtocolMutation::SkipKillMove, "skip-kill-move"},
+    {ProtocolMutation::SkipCancelUnfreeze, "skip-cancel-unfreeze"},
+};
+constexpr const auto &enumNames(ProtocolMutation) { return kMutationNames; }
 
 } // namespace spin
 

@@ -12,51 +12,24 @@
 namespace spin
 {
 
-namespace
-{
-
-/** Static-lifetime SM-type label for trace events. */
-const char *
-smName(SmType t)
-{
-    switch (t) {
-      case SmType::Probe:     return "probe";
-      case SmType::Move:      return "move";
-      case SmType::ProbeMove: return "probe_move";
-      case SmType::KillMove:  return "kill_move";
-    }
-    return "?";
-}
-
-/**
- * Upper bound on the length of an elementary cycle in the VC wait-for
- * graph: every hop of a loop occupies a distinct transit (non-local)
- * input VC, so the total transit-VC count bounds any loop. Folded loops
- * routinely exceed the 2N one might guess from router count.
- */
 int
-transitVcCount(const Network &net)
+probeHopCap(const Network &net)
 {
     const Topology &topo = net.topo();
-    int vcs = 0;
+    int transitVcs = 0;
     for (RouterId r = 0; r < topo.numRouters(); ++r) {
         const int nic_ports = static_cast<int>(topo.nodesAt(r).size());
-        vcs += (topo.radix(r) - nic_ports) * net.config().totalVcs();
+        transitVcs += (topo.radix(r) - nic_ports) * net.config().totalVcs();
     }
-    return vcs;
+    return std::min(transitVcs, 4 * topo.numRouters());
 }
-
-} // namespace
 
 SpinManager::SpinManager(Network &net)
     : net_(net),
       prio_(net.numRouters(),
             net.config().epochMultiplier * net.config().tDd),
       tDd_(net.config().tDd),
-      maxProbeHops_(net.config().maxProbeHops > 0
-                    ? net.config().maxProbeHops
-                    : std::min(transitVcCount(net),
-                               4 * net.numRouters()))
+      maxProbeHops_(probeHopCap(net))
 {
     units_.reserve(net.numRouters());
     for (RouterId r = 0; r < net.numRouters(); ++r) {
@@ -200,7 +173,7 @@ SpinManager::launch(std::vector<SmSend> &sends, Cycle now)
         if (tr) {
             for (std::size_t k = i + 1; k < j; ++k)
                 tr->spin(now, "sm_contention_drop", sends[k].from,
-                         smName(sends[k].sm.type), sends[k].sm.sender);
+                         toString(sends[k].sm.type), sends[k].sm.sender);
         }
         // sends[i] is the winner of this link's contention group.
         SmSend &win = sends[i];
@@ -211,7 +184,7 @@ SpinManager::launch(std::vector<SmSend> &sends, Cycle now)
             st.smContentionDrops += j - i;
             if (tr)
                 tr->spin(now, "sm_fault_drop", win.from,
-                         smName(win.sm.type), win.sm.sender);
+                         toString(win.sm.type), win.sm.sender);
             i = j;
             continue;
         }

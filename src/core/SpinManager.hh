@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/EnumNames.hh"
 #include "common/Types.hh"
 #include "core/RotatingPriority.hh"
 #include "core/SpecialMsg.hh"
@@ -44,6 +45,14 @@ enum class SmAction : std::uint8_t
     Drop,
 };
 
+/** Action names in counterexample traces. */
+inline constexpr EnumName<SmAction> kSmActionNames[] = {
+    {SmAction::Deliver, "deliver"},
+    {SmAction::Delay, "delay"},
+    {SmAction::Drop, "drop"},
+};
+constexpr const auto &enumNames(SmAction) { return kSmActionNames; }
+
 /**
  * Portable image of the SM substrate (in-flight SMs + scheduled
  * emissions), arrival/send cycles stored relative to the capture cycle
@@ -65,6 +74,16 @@ struct SmSubstrate
     std::vector<InFlight> inFlight;
     std::vector<Pending> pending;
 };
+
+/**
+ * Longest probe path, in hops: min(transit VCs, 4 * routers). Every hop
+ * of an elementary wait-for cycle occupies a distinct transit
+ * (non-local) input VC, so the transit-VC count bounds any loop; folded
+ * loops revisit routers, so router count alone is not a bound. The 4N
+ * term keeps many-VC networks from letting probes wander
+ * quasi-unboundedly. spin_lint's probe budget is the same cap.
+ */
+int probeHopCap(const Network &net);
 
 /** See file comment. */
 class SpinManager

@@ -511,17 +511,8 @@ SpinUnit::restore(const FsmSnapshot &s, Cycle now)
 SpinState
 SpinUnit::paperState() const
 {
-    if (victim_.active && victim_.source != router_.id())
-        return SpinState::Frozen;
-    switch (state_) {
-      case InitState::Off:            return SpinState::Off;
-      case InitState::DetectDeadlock: return SpinState::DetectDeadlock;
-      case InitState::MoveWait:       return SpinState::Move;
-      case InitState::FwdProgress:    return SpinState::ForwardProgress;
-      case InitState::ProbeMoveWait:  return SpinState::ProbeMove;
-      case InitState::KillMoveWait:   return SpinState::KillMove;
-    }
-    return SpinState::Off;
+    return spin::paperState(
+        state_, victim_.active && victim_.source != router_.id());
 }
 
 } // namespace spin

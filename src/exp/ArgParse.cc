@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace spin::exp
@@ -28,7 +29,7 @@ namespace
 {
 
 ArgSpec
-makeSpec(const char *name, ArgSpec::Kind kind, const char *help,
+makeSpec(const char *name, ArgSpec::Kind kind, const std::string &help,
          const char *meta)
 {
     ArgSpec s;
@@ -42,7 +43,8 @@ makeSpec(const char *name, ArgSpec::Kind kind, const char *help,
 } // namespace
 
 ArgSpec
-argU64(const char *name, std::uint64_t *dst, const char *help, bool *seen)
+argU64(const char *name, std::uint64_t *dst, const std::string &help,
+       bool *seen)
 {
     ArgSpec s = makeSpec(name, ArgSpec::Kind::U64, help, "N");
     s.u64 = dst;
@@ -51,7 +53,15 @@ argU64(const char *name, std::uint64_t *dst, const char *help, bool *seen)
 }
 
 ArgSpec
-argF64(const char *name, double *dst, const char *help)
+argInt(const char *name, int *dst, const std::string &help)
+{
+    ArgSpec s = makeSpec(name, ArgSpec::Kind::Int, help, "N");
+    s.i32 = dst;
+    return s;
+}
+
+ArgSpec
+argF64(const char *name, double *dst, const std::string &help)
 {
     ArgSpec s = makeSpec(name, ArgSpec::Kind::F64, help, "X");
     s.f64 = dst;
@@ -59,7 +69,7 @@ argF64(const char *name, double *dst, const char *help)
 }
 
 ArgSpec
-argStr(const char *name, std::string *dst, const char *help,
+argStr(const char *name, std::string *dst, const std::string &help,
        const char *meta)
 {
     ArgSpec s = makeSpec(name, ArgSpec::Kind::Str, help, meta);
@@ -68,7 +78,7 @@ argStr(const char *name, std::string *dst, const char *help,
 }
 
 ArgSpec
-argFlag(const char *name, bool *dst, const char *help)
+argFlag(const char *name, bool *dst, const std::string &help)
 {
     ArgSpec s = makeSpec(name, ArgSpec::Kind::Flag, help, "");
     s.flag = dst;
@@ -111,11 +121,24 @@ applyValue(const ArgSpec &spec, const std::string &value, std::string &err)
 {
     switch (spec.kind) {
       case ArgSpec::Kind::U64:
-        if (!parseU64(value, *spec.u64)) {
+      case ArgSpec::Kind::Int: {
+        constexpr int kIntMax = std::numeric_limits<int>::max();
+        std::uint64_t v = 0;
+        if (!parseU64(value, v)) {
             err = "invalid integer for " + spec.name + ": '" + value + "'";
             return false;
         }
+        if (spec.kind == ArgSpec::Kind::U64) {
+            *spec.u64 = v;
+        } else if (v <= static_cast<std::uint64_t>(kIntMax)) {
+            *spec.i32 = static_cast<int>(v);
+        } else {
+            err = spec.name + " out of range: '" + value + "' (max " +
+                  std::to_string(kIntMax) + ")";
+            return false;
+        }
         return true;
+      }
       case ArgSpec::Kind::F64:
         if (!parseF64(value, *spec.f64)) {
             err = "invalid number for " + spec.name + ": '" + value + "'";

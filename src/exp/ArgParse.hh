@@ -36,6 +36,7 @@ struct ArgSpec
     enum class Kind : std::uint8_t
     {
         U64,  //!< unsigned integer value
+        Int,  //!< non-negative integer that fits an int
         F64,  //!< floating-point value
         Str,  //!< string value
         Flag, //!< boolean, no value
@@ -49,6 +50,7 @@ struct ArgSpec
     std::string meta; //!< value placeholder in the usage ("N", "PATH")
 
     std::uint64_t *u64 = nullptr;
+    int *i32 = nullptr;
     double *f64 = nullptr;
     std::string *str = nullptr;
     bool *flag = nullptr;
@@ -61,12 +63,15 @@ struct ArgSpec
 
 /// @name Spec constructors
 /// @{
-ArgSpec argU64(const char *name, std::uint64_t *dst, const char *help = "",
-               bool *seen = nullptr);
-ArgSpec argF64(const char *name, double *dst, const char *help = "");
-ArgSpec argStr(const char *name, std::string *dst, const char *help = "",
-               const char *meta = "PATH");
-ArgSpec argFlag(const char *name, bool *dst, const char *help = "");
+ArgSpec argU64(const char *name, std::uint64_t *dst,
+               const std::string &help = "", bool *seen = nullptr);
+/** An integer flag for an int field: a value above INT_MAX is a usage
+ *  error, never narrowed. */
+ArgSpec argInt(const char *name, int *dst, const std::string &help = "");
+ArgSpec argF64(const char *name, double *dst, const std::string &help = "");
+ArgSpec argStr(const char *name, std::string *dst,
+               const std::string &help = "", const char *meta = "PATH");
+ArgSpec argFlag(const char *name, bool *dst, const std::string &help = "");
 /// @}
 
 /** Strict full-string unsigned parse (no trailing garbage, no sign). */

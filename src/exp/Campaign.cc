@@ -28,7 +28,7 @@ namespace
  *  of the fingerprint even though it lives outside the spec. */
 std::string
 specFingerprint(const SweepSpec &spec, const fault::FaultSchedule &faults,
-                std::uint64_t threads)
+                int threads)
 {
     std::string text = spec.toJson().dump(0);
     if (!faults.empty())
@@ -84,7 +84,7 @@ Campaign::Campaign(SweepSpec spec, CampaignOptions opt,
     if (!verr.empty())
         SPIN_FATAL(verr);
     opt_.jobs = std::clamp(opt_.jobs, 1, 64);
-    opt_.run.threads = std::clamp<std::uint64_t>(opt_.run.threads, 1, 64);
+    opt_.run.threads = std::clamp(opt_.run.threads, 1, 64);
 }
 
 obs::JsonValue
@@ -98,7 +98,7 @@ Campaign::runCell(const SweepSpec &spec, const Cell &cell,
     SPIN_ASSERT(reg, "cell references unknown preset ", cell.preset);
     ConfigPreset preset = *reg;
     preset.cfg.seed = cell.netSeed;
-    preset.cfg.threads = run.threads > 0 ? static_cast<int>(run.threads) : 1;
+    preset.cfg.threads = std::max(run.threads, 1);
     // The reliability dimension toggles the protocol with its default
     // knobs; per-knob sweeps go through dedicated specs/presets.
     preset.cfg.reliability.enabled = cell.reliability;

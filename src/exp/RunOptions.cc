@@ -1,5 +1,6 @@
 #include "exp/RunOptions.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,7 +24,7 @@ RunOptions::flags()
         argFlag("--fast", &fast, "quarter-scale run lengths"),
         argU64("--seed", &seed, "override the configuration's RNG seed",
                &seedSet),
-        argU64("-t, --threads", &threads,
+        argInt("-t, --threads", &threads,
                "threads inside each simulated network (default 1; "
                "results bit-identical for any value, docs/SCALING.md)"),
         argFlag("--reliability", &reliability,
@@ -80,7 +81,7 @@ RunOptions::apply(NetworkConfig &cfg) const
 {
     if (seedSet)
         cfg.seed = seed;
-    cfg.threads = threads > 0 ? static_cast<int>(threads) : 1;
+    cfg.threads = std::max(threads, 1);
     if (reliability)
         cfg.reliability.enabled = true;
 }

@@ -48,7 +48,7 @@ struct RunOptions
     /** Threads inside each simulated network's step(). Results are
      *  bit-identical for any value (docs/SCALING.md), so this is an
      *  execution knob and never lands in a results document. */
-    std::uint64_t threads = 1;
+    int threads = 1;
     /** End-to-end reliable delivery with ReliabilityConfig's default
      *  knobs; off keeps runs byte-identical to historical baselines. */
     bool reliability = false;

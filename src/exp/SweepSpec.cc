@@ -154,43 +154,6 @@ makeTopologyByName(const std::string &name, std::string &err)
     return std::make_shared<Topology>(makeDragonfly(d[0], d[1], d[2], d[3]));
 }
 
-bool
-patternFromString(const std::string &text, Pattern &out)
-{
-    std::string norm = text;
-    for (char &c : norm) {
-        if (c == '_')
-            c = '-';
-    }
-    for (const Pattern p :
-         {Pattern::UniformRandom, Pattern::BitComplement,
-          Pattern::Transpose, Pattern::Tornado, Pattern::BitReverse,
-          Pattern::BitRotation, Pattern::Shuffle, Pattern::Neighbor}) {
-        if (toString(p) == norm) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-routingKindFromString(const std::string &text, RoutingKind &out)
-{
-    for (const RoutingKind k :
-         {RoutingKind::XyDor, RoutingKind::WestFirst,
-          RoutingKind::MinimalAdaptive, RoutingKind::EscapeVc,
-          RoutingKind::TorusBubble, RoutingKind::UgalDally,
-          RoutingKind::UgalSpin, RoutingKind::FavorsMin,
-          RoutingKind::FavorsNMin}) {
-        if (toString(k) == text) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 // ---------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------

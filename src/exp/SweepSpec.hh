@@ -123,11 +123,6 @@ const ConfigPreset *findPreset(const std::string &name);
  */
 std::shared_ptr<const Topology> makeTopologyByName(const std::string &name,
                                                    std::string &err);
-
-/** Parse a pattern name as printed by toString(Pattern). */
-bool patternFromString(const std::string &text, Pattern &out);
-/** Parse a routing name as printed by toString(RoutingKind). */
-bool routingKindFromString(const std::string &text, RoutingKind &out);
 /// @}
 
 /// @name Built-in specs

@@ -216,17 +216,7 @@ FaultInjector::noteApplied(const FaultEvent &e, Cycle now)
         obs::TraceEvent te;
         te.cycle = now;
         te.category = obs::kCatFault;
-        switch (e.kind) {
-          case FaultKind::LinkFail:     te.name = "link_fail"; break;
-          case FaultKind::RouterFail:   te.name = "router_fail"; break;
-          case FaultKind::Corrupt:      te.name = "corrupt_arm"; break;
-          case FaultKind::Drop:         te.name = "drop_arm"; break;
-          case FaultKind::RandomLinks:  te.name = "random_links"; break;
-          case FaultKind::LinkOutage:   te.name = "link_outage"; break;
-          case FaultKind::RouterOutage: te.name = "router_outage"; break;
-          case FaultKind::Flaky:        te.name = "flaky_arm"; break;
-          case FaultKind::FlakyLinks:   te.name = "flaky_links"; break;
-        }
+        te.name = enumRow(e.kind).event;
         const bool routerKind = e.kind == FaultKind::RouterFail ||
                                 e.kind == FaultKind::RouterOutage;
         te.router = routerKind ? e.router : e.src;

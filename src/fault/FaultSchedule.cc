@@ -12,32 +12,6 @@ namespace
 {
 
 bool
-kindFromString(const std::string &s, FaultKind &out)
-{
-    if (s == "link")
-        out = FaultKind::LinkFail;
-    else if (s == "router")
-        out = FaultKind::RouterFail;
-    else if (s == "corrupt")
-        out = FaultKind::Corrupt;
-    else if (s == "drop")
-        out = FaultKind::Drop;
-    else if (s == "random-links")
-        out = FaultKind::RandomLinks;
-    else if (s == "link-outage")
-        out = FaultKind::LinkOutage;
-    else if (s == "router-outage")
-        out = FaultKind::RouterOutage;
-    else if (s == "flaky")
-        out = FaultKind::Flaky;
-    else if (s == "flaky-links")
-        out = FaultKind::FlakyLinks;
-    else
-        return false;
-    return true;
-}
-
-bool
 wantInt(const obs::JsonValue &ev, const char *key, std::int64_t &out,
         std::string &err, std::size_t idx)
 {
@@ -103,23 +77,6 @@ drawPairs(std::vector<std::pair<RouterId, RouterId>> remaining, int count,
 }
 
 } // namespace
-
-const char *
-toString(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::LinkFail:     return "link";
-      case FaultKind::RouterFail:   return "router";
-      case FaultKind::Corrupt:      return "corrupt";
-      case FaultKind::Drop:         return "drop";
-      case FaultKind::RandomLinks:  return "random-links";
-      case FaultKind::LinkOutage:   return "link-outage";
-      case FaultKind::RouterOutage: return "router-outage";
-      case FaultKind::Flaky:        return "flaky";
-      case FaultKind::FlakyLinks:   return "flaky-links";
-    }
-    return "?";
-}
 
 std::string
 describe(const FaultEvent &e)
@@ -233,12 +190,9 @@ FaultSchedule::fromJson(const obs::JsonValue &doc, FaultSchedule &out,
         }
         FaultEvent e;
         const obs::JsonValue &kind = ev["kind"];
-        if (!kind.isString() ||
-            !kindFromString(kind.asString(), e.kind)) {
+        if (!kind.isString() || !fromString(kind.asString(), e.kind)) {
             err = "faults: event " + std::to_string(i) +
-                  " has unknown kind (want link, router, corrupt, "
-                  "drop, random-links, link-outage, router-outage, "
-                  "flaky, or flaky-links)";
+                  " has unknown kind (want " + nameList<FaultKind>() + ")";
             return false;
         }
         const obs::JsonValue *cyc = ev.find("cycle");

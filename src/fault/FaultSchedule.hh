@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/EnumNames.hh"
 #include "common/Types.hh"
 #include "obs/Json.hh"
 #include "topology/Topology.hh"
@@ -44,10 +45,27 @@ enum class FaultKind : std::uint8_t
     FlakyLinks,   //!< macro: seed-derived set of Flaky events
 };
 
-/** JSON name of @p k ("link", "router", "corrupt", "drop",
- *  "random-links", "link-outage", "router-outage", "flaky",
- *  "flaky-links"). */
-const char *toString(FaultKind k);
+/** A fault kind's JSON "kind" value and the trace event its
+ *  application records (the macros expand before they apply). */
+struct FaultKindName
+{
+    FaultKind value;
+    const char *name;
+    const char *event;
+};
+
+inline constexpr FaultKindName kFaultKindNames[] = {
+    {FaultKind::LinkFail, "link", "link_fail"},
+    {FaultKind::RouterFail, "router", "router_fail"},
+    {FaultKind::Corrupt, "corrupt", "corrupt_arm"},
+    {FaultKind::Drop, "drop", "drop_arm"},
+    {FaultKind::RandomLinks, "random-links", "random_links"},
+    {FaultKind::LinkOutage, "link-outage", "link_outage"},
+    {FaultKind::RouterOutage, "router-outage", "router_outage"},
+    {FaultKind::Flaky, "flaky", "flaky_arm"},
+    {FaultKind::FlakyLinks, "flaky-links", "flaky_links"},
+};
+constexpr const auto &enumNames(FaultKind) { return kFaultKindNames; }
 
 struct FaultEvent;
 

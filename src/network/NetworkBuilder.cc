@@ -12,23 +12,6 @@
 namespace spin
 {
 
-std::string
-toString(RoutingKind k)
-{
-    switch (k) {
-      case RoutingKind::XyDor:           return "xy-dor";
-      case RoutingKind::WestFirst:       return "west-first";
-      case RoutingKind::MinimalAdaptive: return "minimal-adaptive";
-      case RoutingKind::EscapeVc:        return "escape-vc";
-      case RoutingKind::TorusBubble:     return "torus-bubble-dor";
-      case RoutingKind::UgalDally:       return "ugal-dally";
-      case RoutingKind::UgalSpin:        return "ugal-spin";
-      case RoutingKind::FavorsMin:       return "favors-min";
-      case RoutingKind::FavorsNMin:      return "favors-nmin";
-    }
-    return "?";
-}
-
 std::unique_ptr<RoutingAlgorithm>
 makeRouting(RoutingKind k)
 {

@@ -20,22 +20,6 @@
 namespace spin
 {
 
-/** Routing-algorithm selector. */
-enum class RoutingKind : std::uint8_t
-{
-    XyDor,           //!< deterministic dimension order
-    WestFirst,       //!< turn-model partial adaptive (Dally avoidance)
-    MinimalAdaptive, //!< fully adaptive minimal (needs recovery)
-    EscapeVc,        //!< Duato escape-VC avoidance
-    TorusBubble,     //!< DOR + bubble flow control (torus avoidance)
-    UgalDally,       //!< UGAL with VC-ordering avoidance (dragonfly)
-    UgalSpin,        //!< UGAL, unrestricted VCs (for SPIN)
-    FavorsMin,       //!< FAvORS minimal (paper Sec. V)
-    FavorsNMin,      //!< FAvORS non-minimal (paper Sec. V)
-};
-
-std::string toString(RoutingKind k);
-
 /** Instantiate a routing algorithm. */
 std::unique_ptr<RoutingAlgorithm> makeRouting(RoutingKind k);
 

@@ -21,7 +21,7 @@ namespace spin
 class DimensionOrder : public RoutingAlgorithm
 {
   public:
-    std::string name() const override { return "xy-dor"; }
+    std::string name() const override { return toString(RoutingKind::XyDor); }
     bool selfDeadlockFree() const override;
     void candidates(const Packet &pkt, const Router &r, RouterId target,
                     std::vector<PortId> &out) const override;

@@ -20,7 +20,8 @@ namespace spin
 class EscapeVc : public RoutingAlgorithm
 {
   public:
-    std::string name() const override { return "escape-vc"; }
+    std::string
+    name() const override { return toString(RoutingKind::EscapeVc); }
     bool fullyAdaptive() const override { return true; }
     bool selfDeadlockFree() const override { return true; }
     int minVcsPerVnet() const override { return 2; }

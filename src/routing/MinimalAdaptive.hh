@@ -21,7 +21,8 @@ namespace spin
 class MinimalAdaptive : public RoutingAlgorithm
 {
   public:
-    std::string name() const override { return "minimal-adaptive"; }
+    std::string
+    name() const override { return toString(RoutingKind::MinimalAdaptive); }
     bool fullyAdaptive() const override { return true; }
     void candidates(const Packet &pkt, const Router &r, RouterId target,
                     std::vector<PortId> &out) const override;

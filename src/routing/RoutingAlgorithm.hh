@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/Config.hh"
+#include "common/EnumNames.hh"
 #include "common/Packet.hh"
 #include "common/Types.hh"
 
@@ -27,6 +28,34 @@ namespace spin
 
 class Network;
 class Router;
+
+/** The built-in routing algorithms (makeRouting() builds each). */
+enum class RoutingKind : std::uint8_t
+{
+    XyDor,           //!< deterministic dimension order
+    WestFirst,       //!< turn-model partial adaptive (Dally avoidance)
+    MinimalAdaptive, //!< fully adaptive minimal (needs recovery)
+    EscapeVc,        //!< Duato escape-VC avoidance
+    TorusBubble,     //!< DOR + bubble flow control (torus avoidance)
+    UgalDally,       //!< UGAL with VC-ordering avoidance (dragonfly)
+    UgalSpin,        //!< UGAL, unrestricted VCs (for SPIN)
+    FavorsMin,       //!< FAvORS minimal (paper Sec. V)
+    FavorsNMin,      //!< FAvORS non-minimal (paper Sec. V)
+};
+
+/** --routing values and each built-in algorithm's name(). */
+inline constexpr EnumName<RoutingKind> kRoutingKindNames[] = {
+    {RoutingKind::XyDor, "xy-dor"},
+    {RoutingKind::WestFirst, "west-first"},
+    {RoutingKind::MinimalAdaptive, "minimal-adaptive"},
+    {RoutingKind::EscapeVc, "escape-vc"},
+    {RoutingKind::TorusBubble, "torus-bubble-dor"},
+    {RoutingKind::UgalDally, "ugal-dally"},
+    {RoutingKind::UgalSpin, "ugal-spin"},
+    {RoutingKind::FavorsMin, "favors-min"},
+    {RoutingKind::FavorsNMin, "favors-nmin"},
+};
+constexpr const auto &enumNames(RoutingKind) { return kRoutingKindNames; }
 
 /**
  * Abstract per-packet routing state for static channel-dependency-graph

@@ -27,7 +27,8 @@ namespace spin
 class TorusBubble : public RoutingAlgorithm
 {
   public:
-    std::string name() const override { return "torus-bubble-dor"; }
+    std::string
+    name() const override { return toString(RoutingKind::TorusBubble); }
     bool selfDeadlockFree() const override { return true; }
 
     void attach(Network &net) override;

@@ -33,7 +33,8 @@ class Ugal : public RoutingAlgorithm
 
     std::string name() const override
     {
-        return vcOrdered_ ? "ugal-dally" : "ugal-spin";
+        return toString(vcOrdered_ ? RoutingKind::UgalDally
+                                    : RoutingKind::UgalSpin);
     }
     bool fullyAdaptive() const override { return !vcOrdered_; }
     bool nonMinimal() const override { return true; }

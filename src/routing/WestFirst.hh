@@ -27,7 +27,8 @@ PortId westFirstNextPort(const MeshInfo &m, RouterId cur, RouterId dest);
 class WestFirst : public RoutingAlgorithm
 {
   public:
-    std::string name() const override { return "west-first"; }
+    std::string
+    name() const override { return toString(RoutingKind::WestFirst); }
     bool selfDeadlockFree() const override { return true; }
     void attach(Network &net) override;
     void candidates(const Packet &pkt, const Router &r, RouterId target,

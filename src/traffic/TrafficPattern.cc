@@ -1,5 +1,6 @@
 #include "traffic/TrafficPattern.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/Logging.hh"
@@ -7,20 +8,11 @@
 namespace spin
 {
 
-std::string
-toString(Pattern p)
+bool
+patternFromString(std::string text, Pattern &out)
 {
-    switch (p) {
-      case Pattern::UniformRandom: return "uniform-random";
-      case Pattern::BitComplement: return "bit-complement";
-      case Pattern::Transpose:     return "transpose";
-      case Pattern::Tornado:       return "tornado";
-      case Pattern::BitReverse:    return "bit-reverse";
-      case Pattern::BitRotation:   return "bit-rotation";
-      case Pattern::Shuffle:       return "shuffle";
-      case Pattern::Neighbor:      return "neighbor";
-    }
-    return "?";
+    std::replace(text.begin(), text.end(), '_', '-');
+    return fromString(text, out);
 }
 
 TrafficPattern::TrafficPattern(Pattern p, const Topology &topo)

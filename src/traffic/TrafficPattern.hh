@@ -17,6 +17,7 @@
 
 #include <string>
 
+#include "common/EnumNames.hh"
 #include "common/Random.hh"
 #include "common/Types.hh"
 #include "topology/Topology.hh"
@@ -37,7 +38,21 @@ enum class Pattern : std::uint8_t
     Neighbor,
 };
 
-std::string toString(Pattern p);
+/** Pattern names in specs, cell ids and cell seeds. */
+inline constexpr EnumName<Pattern> kPatternNames[] = {
+    {Pattern::UniformRandom, "uniform-random"},
+    {Pattern::BitComplement, "bit-complement"},
+    {Pattern::Transpose, "transpose"},
+    {Pattern::Tornado, "tornado"},
+    {Pattern::BitReverse, "bit-reverse"},
+    {Pattern::BitRotation, "bit-rotation"},
+    {Pattern::Shuffle, "shuffle"},
+    {Pattern::Neighbor, "neighbor"},
+};
+constexpr const auto &enumNames(Pattern) { return kPatternNames; }
+
+/** fromString() that also accepts '_' for '-' ("uniform_random"). */
+bool patternFromString(std::string text, Pattern &out);
 
 /** Destination generator for one pattern over one topology. */
 class TrafficPattern

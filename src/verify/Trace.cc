@@ -8,66 +8,6 @@ namespace
 
 constexpr const char *kSchema = "spin-model-trace/v1";
 
-const char *
-actionName(SmAction a)
-{
-    switch (a) {
-      case SmAction::Deliver: return "deliver";
-      case SmAction::Delay:   return "delay";
-      case SmAction::Drop:    return "drop";
-    }
-    return "?";
-}
-
-bool
-actionFromName(const std::string &s, SmAction &out)
-{
-    if (s == "deliver") { out = SmAction::Deliver; return true; }
-    if (s == "delay")   { out = SmAction::Delay;   return true; }
-    if (s == "drop")    { out = SmAction::Drop;    return true; }
-    return false;
-}
-
-const char *
-smTypeName(SmType t)
-{
-    switch (t) {
-      case SmType::Probe:     return "probe";
-      case SmType::Move:      return "move";
-      case SmType::ProbeMove: return "probe_move";
-      case SmType::KillMove:  return "kill_move";
-    }
-    return "?";
-}
-
-bool
-smTypeFromName(const std::string &s, SmType &out)
-{
-    if (s == "probe")      { out = SmType::Probe;     return true; }
-    if (s == "move")       { out = SmType::Move;      return true; }
-    if (s == "probe_move") { out = SmType::ProbeMove; return true; }
-    if (s == "kill_move")  { out = SmType::KillMove;  return true; }
-    return false;
-}
-
-bool
-mutationFromName(const std::string &s, ProtocolMutation &out)
-{
-    if (s == "none") {
-        out = ProtocolMutation::None;
-        return true;
-    }
-    if (s == "skip-kill-move") {
-        out = ProtocolMutation::SkipKillMove;
-        return true;
-    }
-    if (s == "skip-cancel-unfreeze") {
-        out = ProtocolMutation::SkipCancelUnfreeze;
-        return true;
-    }
-    return false;
-}
-
 const obs::JsonValue *
 need(const obs::JsonValue &v, const char *key, std::string &err)
 {
@@ -101,11 +41,11 @@ choiceToJson(const Choice &c)
 {
     obs::JsonValue o = obs::JsonValue::object();
     o.set("cycle", static_cast<std::uint64_t>(c.cycle));
-    o.set("type", smTypeName(c.type));
+    o.set("type", toString(c.type));
     o.set("sender", static_cast<std::int64_t>(c.sender));
     o.set("outport", static_cast<std::int64_t>(c.outport));
     o.set("nth", static_cast<std::int64_t>(c.nth));
-    o.set("action", actionName(c.action));
+    o.set("action", toString(c.action));
     return o;
 }
 
@@ -122,7 +62,7 @@ choiceFromJson(const obs::JsonValue &v, Choice &out, std::string &err)
     out.cycle = m->asU64();
     if (!(m = need(v, "type", err)))
         return false;
-    if (!smTypeFromName(m->asString(), out.type)) {
+    if (!fromString(m->asString(), out.type)) {
         err = "unknown SM type \"" + m->asString() + "\"";
         return false;
     }
@@ -137,7 +77,7 @@ choiceFromJson(const obs::JsonValue &v, Choice &out, std::string &err)
     out.nth = static_cast<int>(m->asNumber());
     if (!(m = need(v, "action", err)))
         return false;
-    if (!actionFromName(m->asString(), out.action)) {
+    if (!fromString(m->asString(), out.action)) {
         err = "unknown action \"" + m->asString() + "\"";
         return false;
     }
@@ -174,7 +114,7 @@ runSpecFromJson(const obs::JsonValue &v, RunSpec &out, std::string &err)
     out.scenario = m->asString();
     if (!(m = need(v, "mutation", err)))
         return false;
-    if (!mutationFromName(m->asString(), out.mutation)) {
+    if (!fromString(m->asString(), out.mutation)) {
         err = "unknown mutation \"" + m->asString() + "\"";
         return false;
     }

@@ -31,9 +31,9 @@ TEST(Builder, MakeRoutingNames)
 
 TEST(Builder, ToStringMatchesKind)
 {
-    EXPECT_EQ(toString(RoutingKind::FavorsNMin), "favors-nmin");
-    EXPECT_EQ(toString(RoutingKind::UgalDally), "ugal-dally");
-    EXPECT_EQ(toString(RoutingKind::TorusBubble), "torus-bubble-dor");
+    EXPECT_STREQ(toString(RoutingKind::FavorsNMin), "favors-nmin");
+    EXPECT_STREQ(toString(RoutingKind::UgalDally), "ugal-dally");
+    EXPECT_STREQ(toString(RoutingKind::TorusBubble), "torus-bubble-dor");
 }
 
 TEST(Builder, EveryKindHasConsistentNameAndFactory)
@@ -49,7 +49,7 @@ TEST(Builder, EveryKindHasConsistentNameAndFactory)
         auto algo = makeRouting(k);
         ASSERT_NE(algo, nullptr);
         EXPECT_EQ(algo->name(), toString(k));
-        EXPECT_NE(toString(k), "?");
+        EXPECT_STRNE(toString(k), "?");
     }
 }
 
@@ -115,9 +115,9 @@ TEST(Builder, VcRequirementEnforcedAtBuild)
 
 TEST(Builder, SchemeToString)
 {
-    EXPECT_EQ(toString(DeadlockScheme::Spin), "spin");
-    EXPECT_EQ(toString(DeadlockScheme::StaticBubble), "static-bubble");
-    EXPECT_EQ(toString(DeadlockScheme::None), "none");
+    EXPECT_STREQ(toString(DeadlockScheme::Spin), "spin");
+    EXPECT_STREQ(toString(DeadlockScheme::StaticBubble), "static-bubble");
+    EXPECT_STREQ(toString(DeadlockScheme::None), "none");
 }
 
 } // namespace

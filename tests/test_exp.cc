@@ -6,6 +6,7 @@
  * bit-identical for any worker count and across resume.
  */
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,8 @@
 #include "exp/ArgParse.hh"
 #include "exp/Campaign.hh"
 #include "exp/SweepSpec.hh"
+#include "fault/FaultSchedule.hh"
+#include "verify/Trace.hh"
 
 namespace spin::exp
 {
@@ -144,33 +147,61 @@ TEST(SweepSpecTest, ValidateAcceptsExactlyTheBuildableTopologyNames)
     EXPECT_EQ(dfly->name, "dragonfly-p2a4h2g9");
 }
 
+/** Every enumerator of @p E round-trips through its name, and a name
+ *  that is empty, "?", upper-cased or followed by a space is rejected
+ *  without touching the output. */
+template <class E>
+void
+expectNamesRoundTrip()
+{
+    const std::size_t n = std::size(enumTable<E>());
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto e = static_cast<E>(i);
+        const std::string name = toString(e);
+        E back = static_cast<E>((i + 1) % n);
+        EXPECT_TRUE(fromString(name, back)) << name;
+        EXPECT_EQ(back, e) << name;
+
+        std::string upper = name;
+        for (char &c : upper)
+            c = static_cast<char>(std::toupper(c));
+        for (const std::string &bad : {std::string(), std::string("?"),
+                                       upper, name + " "}) {
+            E kept = back;
+            EXPECT_FALSE(fromString(bad, kept)) << "'" << bad << "'";
+            EXPECT_EQ(kept, back) << "'" << bad << "'";
+        }
+    }
+}
+
 TEST(EnumNameTest, RoutingKindAndSchemeRoundTrip)
 {
-    for (int i = 0; i <= static_cast<int>(RoutingKind::FavorsNMin); ++i) {
-        const auto kind = static_cast<RoutingKind>(i);
-        RoutingKind back = kind == RoutingKind::XyDor
-                               ? RoutingKind::FavorsNMin
-                               : RoutingKind::XyDor;
-        EXPECT_TRUE(routingKindFromString(toString(kind), back)) << i;
-        EXPECT_EQ(back, kind) << toString(kind);
-    }
-    for (int i = 0; i <= static_cast<int>(DeadlockScheme::StaticBubble);
-         ++i) {
-        const auto scheme = static_cast<DeadlockScheme>(i);
-        DeadlockScheme back = scheme == DeadlockScheme::None
-                                  ? DeadlockScheme::Spin
-                                  : DeadlockScheme::None;
-        EXPECT_TRUE(schemeFromString(toString(scheme), back)) << i;
-        EXPECT_EQ(back, scheme) << toString(scheme);
-    }
+    expectNamesRoundTrip<RoutingKind>();
+    expectNamesRoundTrip<DeadlockScheme>();
+    expectNamesRoundTrip<Pattern>();
+    expectNamesRoundTrip<SmType>();
+    expectNamesRoundTrip<SmAction>();
+    expectNamesRoundTrip<ProtocolMutation>();
+    expectNamesRoundTrip<fault::FaultKind>();
+
     RoutingKind kind = RoutingKind::WestFirst;
     DeadlockScheme scheme = DeadlockScheme::Spin;
     for (const char *bad : {"", "?", "SPIN", "favors_min", "xy-dor "}) {
-        EXPECT_FALSE(routingKindFromString(bad, kind)) << bad;
-        EXPECT_FALSE(schemeFromString(bad, scheme)) << bad;
+        EXPECT_FALSE(fromString(bad, kind)) << bad;
+        EXPECT_FALSE(fromString(bad, scheme)) << bad;
     }
     EXPECT_EQ(kind, RoutingKind::WestFirst);
     EXPECT_EQ(scheme, DeadlockScheme::Spin);
+
+    // Patterns alone also accept '_' for '-'.
+    Pattern pattern = Pattern::Tornado;
+    EXPECT_FALSE(fromString("uniform_random", pattern));
+    EXPECT_TRUE(patternFromString("uniform_random", pattern));
+    EXPECT_EQ(pattern, Pattern::UniformRandom);
+    EXPECT_TRUE(patternFromString("bit_rotation", pattern));
+    EXPECT_EQ(pattern, Pattern::BitRotation);
+    EXPECT_FALSE(patternFromString("bit_rotation ", pattern));
+    EXPECT_EQ(pattern, Pattern::BitRotation);
 }
 
 TEST(SweepSpecTest, BuiltinSpecsAllValidateAndExpand)
@@ -300,6 +331,27 @@ TEST(ArgParseTest, FailsLoudly)
     EXPECT_FALSE(runParse({"--fast=1"}, specs, err));   // flag w/ value
     EXPECT_FALSE(runParse({"positional"}, specs, err));
     EXPECT_FALSE(runParse({"-n"}, specs, err)); // no such alias
+}
+
+TEST(ArgParseTest, IntFlagRejectsWhatAnIntCannotHold)
+{
+    int n = 7;
+    const std::vector<ArgSpec> specs = {argInt("-n, --count", &n)};
+    std::string err;
+    EXPECT_TRUE(runParse({"--count", "2147483647"}, specs, err)) << err;
+    EXPECT_EQ(n, 2147483647);
+    EXPECT_TRUE(runParse({"-n0"}, specs, err)) << err;
+    EXPECT_EQ(n, 0);
+    for (const char *bad : {"2147483648", "4294967297",
+                            "18446744073709551616", "-1", "3x"}) {
+        n = 5;
+        EXPECT_FALSE(runParse({"--count", bad}, specs, err)) << bad;
+        EXPECT_NE(err.find("--count"), std::string::npos) << err;
+        EXPECT_EQ(n, 5) << bad;
+    }
+    EXPECT_NE(err.find("invalid integer"), std::string::npos) << err;
+    EXPECT_FALSE(runParse({"-n", "4294967297"}, specs, err));
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
 }
 
 TEST(ArgParseTest, UsageAlignsAndWrapsEveryRow)

@@ -30,8 +30,8 @@ TEST(SpecialMsg, ClassPriorityOrder)
 
 TEST(SpecialMsg, ToStringNames)
 {
-    EXPECT_EQ(toString(SmType::Probe), "probe");
-    EXPECT_EQ(toString(SmType::KillMove), "kill_move");
+    EXPECT_STREQ(toString(SmType::Probe), "probe");
+    EXPECT_STREQ(toString(SmType::KillMove), "kill_move");
     SpecialMsg sm;
     sm.sender = 5;
     sm.path = {1, 2};

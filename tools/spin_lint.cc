@@ -41,10 +41,10 @@ using analysis::Verdict;
 struct Options
 {
     std::string topology = "mesh8x8";
-    std::string routing = "minimal-adaptive";
-    std::string scheme = "none";
-    std::uint64_t vcs = 0; // 0 = routing's declared minimum
-    std::uint64_t vnets = 1;
+    std::string routing = toString(RoutingKind::MinimalAdaptive);
+    std::string scheme = toString(DeadlockScheme::None);
+    int vcs = 0; // 0 = routing's declared minimum
+    int vnets = 1;
     std::uint64_t maxStates = 1ull << 24;
     std::string faultsPath;
     std::string jsonPath;
@@ -74,13 +74,13 @@ runOne(const Options &o, const std::string &topoName,
        int vcs, std::string *dot)
 {
     RoutingKind kind{};
-    if (!exp::routingKindFromString(routingName, kind))
+    if (!fromString(routingName, kind))
         SPIN_FATAL("unknown routing '", routingName, "'");
     NetworkConfig cfg;
-    if (!schemeFromString(schemeName, cfg.scheme))
+    if (!fromString(schemeName, cfg.scheme))
         SPIN_FATAL("unknown scheme '", schemeName, "'");
     cfg.name = "spin-lint";
-    cfg.vnets = static_cast<int>(o.vnets);
+    cfg.vnets = o.vnets;
     cfg.vcsPerVnet = vcs > 0 ? vcs : makeRouting(kind)->minVcsPerVnet();
     if (cfg.scheme == DeadlockScheme::StaticBubble)
         cfg.vcsPerVnet += 1; // the reserved VC rides on top
@@ -225,7 +225,7 @@ runSingle(const Options &o)
 {
     std::string dot;
     AnalysisReport rep =
-        runOne(o, o.topology, o.routing, o.scheme, static_cast<int>(o.vcs),
+        runOne(o, o.topology, o.routing, o.scheme, o.vcs,
                o.dotPath.empty() ? nullptr : &dot);
     std::printf("%s\n", rep.summary().c_str());
     for (const auto &w : rep.witnesses) {
@@ -260,15 +260,15 @@ main(int argc, char **argv)
                     "(default mesh8x8)",
                     "NAME"),
         exp::argStr("--routing", &o.routing,
-                    "xy-dor | west-first | minimal-adaptive | escape-vc | "
-                    "torus-bubble-dor | ugal-dally | ugal-spin | favors-min "
-                    "| favors-nmin (default minimal-adaptive)",
+                    nameList<RoutingKind>() + " (default " + o.routing + ")",
                     "NAME"),
         exp::argStr("--scheme", &o.scheme,
-                    "none | spin | static-bubble (default none)", "NAME"),
-        exp::argU64("--vcs", &o.vcs,
+                    nameList<DeadlockScheme>() + " (default " + o.scheme +
+                        ")",
+                    "NAME"),
+        exp::argInt("--vcs", &o.vcs,
                     "VCs per vnet (default: routing's declared min)"),
-        exp::argU64("--vnets", &o.vnets,
+        exp::argInt("--vnets", &o.vnets,
                     "virtual networks (default 1; vnets never share VCs, "
                     "so vnet 0 decides)"),
         exp::argU64("--max-states", &o.maxStates,

@@ -50,9 +50,9 @@ using namespace spin::verify;
 struct Options
 {
     std::string scenario;
-    std::uint64_t budget = 1;
+    int budget = 1;
     std::uint64_t maxRuns = 0;
-    std::string mutate = "none";
+    std::string mutate = toString(ProtocolMutation::None);
     bool noLiveness = false;
     std::string traceDir;
     std::string jsonPath;
@@ -60,24 +60,6 @@ struct Options
     bool list = false;
     bool quiet = false;
 };
-
-bool
-parseMutation(const std::string &name, ProtocolMutation &out)
-{
-    if (name == "none") {
-        out = ProtocolMutation::None;
-        return true;
-    }
-    if (name == "skip-kill-move") {
-        out = ProtocolMutation::SkipKillMove;
-        return true;
-    }
-    if (name == "skip-cancel-unfreeze") {
-        out = ProtocolMutation::SkipCancelUnfreeze;
-        return true;
-    }
-    return false;
-}
 
 int
 listScenarios()
@@ -157,15 +139,15 @@ main(int argc, char **argv)
         exp::argStr("--scenario", &o.scenario,
                     "verify one scenario (default: all; see --list)",
                     "NAME"),
-        exp::argU64("--budget", &o.budget,
+        exp::argInt("--budget", &o.budget,
                     "max SM-schedule perturbations per run (default 1)"),
         exp::argU64("--max-runs", &o.maxRuns,
                     "cap runs per scenario, 0 = run frontier dry "
                     "(default 0)"),
         exp::argStr("--mutate", &o.mutate,
-                    "none | skip-kill-move | skip-cancel-unfreeze (inject "
-                    "a protocol defect; the checker must catch it -- CI "
-                    "runs this as a self-test)",
+                    nameList<ProtocolMutation>() +
+                        " (inject a protocol defect; the checker must "
+                        "catch it -- CI runs this as a self-test)",
                     "NAME"),
         exp::argFlag("--no-liveness", &o.noLiveness,
                      "disable the bounded-liveness horizon check"),
@@ -194,10 +176,10 @@ main(int argc, char **argv)
         return runReplay(o.replayPath);
 
     ExplorerOptions eopt;
-    eopt.budget = static_cast<int>(o.budget);
+    eopt.budget = o.budget;
     eopt.maxRuns = o.maxRuns;
     eopt.checkLiveness = !o.noLiveness;
-    if (!parseMutation(o.mutate, eopt.mutation))
+    if (!fromString(o.mutate, eopt.mutation))
         usage.fail("unknown mutation \"" + o.mutate + "\"");
 
     std::vector<const Scenario *> targets;

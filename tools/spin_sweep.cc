@@ -51,8 +51,8 @@ listBuiltins()
     std::printf("\npresets:\n");
     for (const ConfigPreset &p : presetRegistry()) {
         std::printf("  %-24s %s, %d vnets x %d VCs, %s\n",
-                    p.name.c_str(), toString(p.kind).c_str(), p.cfg.vnets,
-                    p.cfg.vcsPerVnet, toString(p.cfg.scheme).c_str());
+                    p.name.c_str(), toString(p.kind), p.cfg.vnets,
+                    p.cfg.vcsPerVnet, toString(p.cfg.scheme));
     }
 }
 
@@ -89,7 +89,7 @@ int
 main(int argc, char **argv)
 {
     std::string specArg, outDir, benchJsonPath;
-    std::uint64_t jobs = 1, warmup = 0, measure = 0;
+    std::uint64_t warmup = 0, measure = 0;
     bool warmupSet = false, measureSet = false;
     bool noCells = false, printCells = false, list = false;
     CampaignOptions copt;
@@ -98,7 +98,7 @@ main(int argc, char **argv)
     std::vector<ArgSpec> specs = {
         argStr("--spec", &specArg, "built-in spec name or JSON spec file",
                "NAME|FILE"),
-        argU64("-j, --jobs", &jobs,
+        argInt("-j, --jobs", &copt.jobs,
                "worker threads, one cell each (default 1)"),
         argStr("--out", &outDir,
                "per-cell result dir (default sweep-out/<spec>); enables "
@@ -168,7 +168,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    copt.jobs = static_cast<int>(jobs);
     // The meter is for humans: auto-enable on a TTY unless per-cell
     // logging was requested, which it would overwrite.
     copt.live = copt.live || (!copt.progress && isatty(fileno(stderr)) != 0);
@@ -183,12 +182,10 @@ main(int argc, char **argv)
     if (run.jsonPath.empty() && !copt.cellDir.empty())
         run.jsonPath = copt.cellDir + "/results.json";
 
-    std::printf("spin_sweep: spec '%s' (%s), %zu cells, %llu jobs, "
-                "%llu threads/cell%s\n\n",
+    std::printf("spin_sweep: spec '%s' (%s), %zu cells, %d jobs, "
+                "%d threads/cell%s\n\n",
                 spec.name.c_str(), spec.topology.c_str(), cells.size(),
-                static_cast<unsigned long long>(jobs),
-                static_cast<unsigned long long>(run.threads),
-                copt.resume ? ", resume" : "");
+                copt.jobs, run.threads, copt.resume ? ", resume" : "");
 
     Campaign campaign(spec, copt, std::move(faults));
     obs::JsonValue results;
