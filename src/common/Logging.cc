@@ -15,10 +15,8 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::cerr << "fatal: " << msg << " @ " << file << ":" << line
-              << std::endl;
     throw FatalError(msg);
 }
 

@@ -20,9 +20,10 @@ namespace spin
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Exit with a message: user configuration error (throws). */
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+/** User configuration error: throws FatalError(@p msg). The catcher
+ *  reports it (a front end prints "<tool>: <msg>"); an uncaught one
+ *  ends the program with the runtime's terminate message. */
+[[noreturn]] void fatalImpl(const std::string &msg);
 
 /** Print a warning to stderr. */
 void warnImpl(const std::string &msg);
@@ -67,7 +68,7 @@ concat(const Args &...args)
     ::spin::panicImpl(__FILE__, __LINE__, ::spin::detail::concat(__VA_ARGS__))
 
 #define SPIN_FATAL(...) \
-    ::spin::fatalImpl(__FILE__, __LINE__, ::spin::detail::concat(__VA_ARGS__))
+    ::spin::fatalImpl(::spin::detail::concat(__VA_ARGS__))
 
 #define SPIN_WARN(...) \
     ::spin::warnImpl(::spin::detail::concat(__VA_ARGS__))

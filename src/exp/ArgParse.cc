@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 
 namespace spin::exp
@@ -53,10 +52,12 @@ argU64(const char *name, std::uint64_t *dst, const std::string &help,
 }
 
 ArgSpec
-argInt(const char *name, int *dst, const std::string &help)
+argInt(const char *name, int *dst, const std::string &help, int min, int max)
 {
     ArgSpec s = makeSpec(name, ArgSpec::Kind::Int, help, "N");
     s.i32 = dst;
+    s.intMin = min;
+    s.intMax = max;
     return s;
 }
 
@@ -122,7 +123,6 @@ applyValue(const ArgSpec &spec, const std::string &value, std::string &err)
     switch (spec.kind) {
       case ArgSpec::Kind::U64:
       case ArgSpec::Kind::Int: {
-        constexpr int kIntMax = std::numeric_limits<int>::max();
         std::uint64_t v = 0;
         if (!parseU64(value, v)) {
             err = "invalid integer for " + spec.name + ": '" + value + "'";
@@ -130,11 +130,15 @@ applyValue(const ArgSpec &spec, const std::string &value, std::string &err)
         }
         if (spec.kind == ArgSpec::Kind::U64) {
             *spec.u64 = v;
-        } else if (v <= static_cast<std::uint64_t>(kIntMax)) {
+        } else if (v <= static_cast<std::uint64_t>(spec.intMax) &&
+                   static_cast<int>(v) >= spec.intMin) {
             *spec.i32 = static_cast<int>(v);
         } else {
-            err = spec.name + " out of range: '" + value + "' (max " +
-                  std::to_string(kIntMax) + ")";
+            err = spec.name + " out of range: '" + value + "' (" +
+                  (spec.intMin > 0
+                       ? "min " + std::to_string(spec.intMin) + ", "
+                       : "") +
+                  "max " + std::to_string(spec.intMax) + ")";
             return false;
         }
         return true;

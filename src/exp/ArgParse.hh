@@ -24,6 +24,7 @@
 #define SPINNOC_EXP_ARGPARSE_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,9 @@ struct ArgSpec
 
     std::uint64_t *u64 = nullptr;
     int *i32 = nullptr;
+    /** Inclusive range of an Int value; outside it is a usage error. */
+    int intMin = 0;
+    int intMax = std::numeric_limits<int>::max();
     double *f64 = nullptr;
     std::string *str = nullptr;
     bool *flag = nullptr;
@@ -65,9 +69,10 @@ struct ArgSpec
 /// @{
 ArgSpec argU64(const char *name, std::uint64_t *dst,
                const std::string &help = "", bool *seen = nullptr);
-/** An integer flag for an int field: a value above INT_MAX is a usage
- *  error, never narrowed. */
-ArgSpec argInt(const char *name, int *dst, const std::string &help = "");
+/** An integer flag for an int field: a value outside [@p min, @p max]
+ *  is a usage error, never narrowed or clamped. */
+ArgSpec argInt(const char *name, int *dst, const std::string &help = "",
+               int min = 0, int max = std::numeric_limits<int>::max());
 ArgSpec argF64(const char *name, double *dst, const std::string &help = "");
 ArgSpec argStr(const char *name, std::string *dst,
                const std::string &help = "", const char *meta = "PATH");

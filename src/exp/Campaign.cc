@@ -83,8 +83,6 @@ Campaign::Campaign(SweepSpec spec, CampaignOptions opt,
     const std::string verr = spec_.validate();
     if (!verr.empty())
         SPIN_FATAL(verr);
-    opt_.jobs = std::clamp(opt_.jobs, 1, 64);
-    opt_.run.threads = std::clamp(opt_.run.threads, 1, 64);
 }
 
 obs::JsonValue
@@ -98,7 +96,7 @@ Campaign::runCell(const SweepSpec &spec, const Cell &cell,
     SPIN_ASSERT(reg, "cell references unknown preset ", cell.preset);
     ConfigPreset preset = *reg;
     preset.cfg.seed = cell.netSeed;
-    preset.cfg.threads = std::max(run.threads, 1);
+    preset.cfg.threads = run.threads;
     // The reliability dimension toggles the protocol with its default
     // knobs; per-knob sweeps go through dedicated specs/presets.
     preset.cfg.reliability.enabled = cell.reliability;

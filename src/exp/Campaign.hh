@@ -40,8 +40,8 @@ namespace spin::exp
 /** Runner knobs (everything outside the deterministic spec). */
 struct CampaignOptions
 {
-    /** Worker threads pulling whole cells; clamped to [1, 64].
-     *  1 runs inline. */
+    /** Worker threads pulling whole cells (spin_sweep's -j takes 1 to
+     *  kMaxThreads); 1 runs inline. */
     int jobs = 1;
     /** Per-cell result directory; empty disables cell files + resume. */
     std::string cellDir;
@@ -57,7 +57,7 @@ struct CampaignOptions
     bool live = false;
     /**
      * The run flags every simulated cell reads:
-     *  - `threads` inside each cell's step(), clamped to [1, 64].
+     *  - `threads` inside each cell's step() (-t takes 1 to kMaxThreads).
      *    Orthogonal to `jobs`, and results are bit-identical for any
      *    value, but a non-default count is folded into the resume
      *    fingerprint so caches produced under different intra-cell

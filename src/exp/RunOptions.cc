@@ -1,6 +1,5 @@
 #include "exp/RunOptions.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,8 +24,11 @@ RunOptions::flags()
         argU64("--seed", &seed, "override the configuration's RNG seed",
                &seedSet),
         argInt("-t, --threads", &threads,
-               "threads inside each simulated network (default 1; "
-               "results bit-identical for any value, docs/SCALING.md)"),
+               "threads inside each simulated network (1 to " +
+                   std::to_string(kMaxThreads) +
+                   ", default 1; results bit-identical for any value, "
+                   "docs/SCALING.md)",
+               1, kMaxThreads),
         argFlag("--reliability", &reliability,
                 "end-to-end reliable delivery: CRC, link retry, NIC "
                 "retransmission (docs/FAULTS.md)"),
@@ -81,7 +83,7 @@ RunOptions::apply(NetworkConfig &cfg) const
 {
     if (seedSet)
         cfg.seed = seed;
-    cfg.threads = std::max(threads, 1);
+    cfg.threads = threads;
     if (reliability)
         cfg.reliability.enabled = true;
 }

@@ -39,6 +39,10 @@ class MemoryMetricsSink;
 namespace spin::exp
 {
 
+/** The most threads `-t` (inside one network) and spin_sweep's `-j`
+ *  (cells at once) accept. */
+inline constexpr int kMaxThreads = 64;
+
 /** See file comment; each field is set by one row of flags(). */
 struct RunOptions
 {

@@ -69,30 +69,8 @@ FaultInjector::tick(Cycle now)
     while (nextIdx_ < concrete_.size() &&
            concrete_[nextIdx_].cycle <= now) {
         const FaultEvent &e = concrete_[nextIdx_];
-        switch (e.kind) {
-          case FaultKind::LinkFail:
-            applyLinkFail(e);
-            permanentApplied = true;
-            break;
-          case FaultKind::RouterFail:
-            applyRouterFail(e, now);
-            permanentApplied = true;
-            break;
-          case FaultKind::Corrupt:
-          case FaultKind::Drop:
-            applyTransient(e);
-            break;
-          case FaultKind::LinkOutage:
-          case FaultKind::RouterOutage:
-            applyOutage(e);
-            break;
-          case FaultKind::Flaky:
-            applyFlaky(e);
-            break;
-          case FaultKind::RandomLinks:
-          case FaultKind::FlakyLinks:
-            SPIN_FATAL("unexpanded macro event in injector");
-        }
+        apply(e, now);
+        permanentApplied |= enumRow(e.kind).effect == FaultEffect::Fail;
         noteApplied(e, now);
         ++nextIdx_;
     }
@@ -107,106 +85,91 @@ FaultInjector::tick(Cycle now)
 }
 
 void
-FaultInjector::failLinkIndex(int li)
+FaultInjector::apply(const FaultEvent &e, Cycle now)
 {
-    if (li < 0 || failedLink_[static_cast<std::size_t>(li)])
-        return;
-    failedLink_[static_cast<std::size_t>(li)] = 1;
-    net_.link(li).fail();
-}
+    const FaultKindName &row = enumRow(e.kind);
+    SPIN_ASSERT(row.target != FaultTarget::SeedPicked,
+                "unexpanded macro event in injector");
+    const bool killsRouter =
+        row.target == FaultTarget::Router && row.effect == FaultEffect::Fail;
+    if (killsRouter) {
+        char &dead = deadRouter_[static_cast<std::size_t>(e.router)];
+        if (dead)
+            return;
+        dead = 1;
+    }
 
-void
-FaultInjector::applyLinkFail(const FaultEvent &e)
-{
+    // One pass over the links. A directed link is one link: the first
+    // src->dst link, else the first dst->src link (the spec named the
+    // pair the other way round).
+    int forward = -1;
+    int reverse = -1;
     for (int li = 0; li < net_.numLinks(); ++li) {
         const LinkSpec &s = net_.link(li).spec();
-        const bool match = (s.src == e.src && s.dst == e.dst) ||
-                           (s.src == e.dst && s.dst == e.src);
-        if (match)
-            failLinkIndex(li);
-    }
-    ++net_.stats().linksFailed;
-}
-
-void
-FaultInjector::applyRouterFail(const FaultEvent &e, Cycle now)
-{
-    if (deadRouter_[static_cast<std::size_t>(e.router)])
-        return;
-    deadRouter_[static_cast<std::size_t>(e.router)] = 1;
-    for (int li = 0; li < net_.numLinks(); ++li) {
-        const LinkSpec &s = net_.link(li).spec();
-        if (s.src == e.router || s.dst == e.router)
-            failLinkIndex(li);
-    }
-    net_.router(e.router).markDead(now);
-    ++net_.stats().routersFailed;
-}
-
-void
-FaultInjector::applyTransient(const FaultEvent &e)
-{
-    auto &pending =
-        e.kind == FaultKind::Corrupt ? pendingCorrupt_ : pendingDrop_;
-    // Arm the directed channel src -> dst; fall back to the reverse
-    // direction when the spec named the pair the other way round.
-    int armed = -1;
-    for (int pass = 0; pass < 2 && armed < 0; ++pass) {
-        const RouterId from = pass == 0 ? e.src : e.dst;
-        const RouterId to = pass == 0 ? e.dst : e.src;
-        for (int li = 0; li < net_.numLinks(); ++li) {
-            const LinkSpec &s = net_.link(li).spec();
-            if (s.src == from && s.dst == to) {
-                ++pending[static_cast<std::size_t>(li)];
-                armed = li;
-                break;
-            }
+        const bool fwd = s.src == e.src && s.dst == e.dst;
+        const bool rev = s.src == e.dst && s.dst == e.src;
+        switch (row.target) {
+          case FaultTarget::Link:
+            if (fwd || rev)
+                hitLink(e, row.effect, li);
+            break;
+          case FaultTarget::DirectedLink:
+            if (fwd && forward < 0)
+                forward = li;
+            if (rev && reverse < 0)
+                reverse = li;
+            break;
+          case FaultTarget::Router:
+            if (s.src == e.router || s.dst == e.router)
+                hitLink(e, row.effect, li);
+            break;
+          case FaultTarget::SeedPicked:
+            break;
         }
     }
-    ++net_.stats().transientFaults;
-}
+    if (const int one = forward >= 0 ? forward : reverse; one >= 0)
+        hitLink(e, row.effect, one);
 
-void
-FaultInjector::applyOutage(const FaultEvent &e)
-{
-    // A down link (or a down router's links) garbles everything that
-    // crosses it during the window; control traffic is assumed on a
-    // protected sideband, so credits and SMs keep flowing.
-    const Cycle end = e.cycle + e.duration;
-    for (int li = 0; li < net_.numLinks(); ++li) {
-        const LinkSpec &s = net_.link(li).spec();
-        bool hit;
-        if (e.kind == FaultKind::RouterOutage)
-            hit = s.src == e.router || s.dst == e.router;
-        else
-            hit = (s.src == e.src && s.dst == e.dst) ||
-                  (s.src == e.dst && s.dst == e.src);
-        if (hit) {
-            auto &slot = outageEnd_[static_cast<std::size_t>(li)];
-            slot = std::max(slot, end);
-        }
+    Stats &st = net_.stats();
+    if (row.effect != FaultEffect::Fail) {
+        ++st.transientFaults;
+    } else if (killsRouter) {
+        net_.router(e.router).markDead(now);
+        ++st.routersFailed;
+    } else {
+        ++st.linksFailed;
     }
-    ++net_.stats().transientFaults;
 }
 
 void
-FaultInjector::applyFlaky(const FaultEvent &e)
+FaultInjector::hitLink(const FaultEvent &e, FaultEffect effect, int li)
 {
-    const Cycle end = e.cycle + e.window;
-    for (int li = 0; li < net_.numLinks(); ++li) {
-        const LinkSpec &s = net_.link(li).spec();
-        const bool hit = (s.src == e.src && s.dst == e.dst) ||
-                         (s.src == e.dst && s.dst == e.src);
-        if (!hit)
-            continue;
-        const auto i = static_cast<std::size_t>(li);
-        flakyEnd_[i] = std::max(flakyEnd_[i], end);
+    const auto i = static_cast<std::size_t>(li);
+    switch (effect) {
+      case FaultEffect::Fail:
+        failedLink_[i] = 1;
+        net_.link(li).fail();
+        break;
+      case FaultEffect::CorruptArm:
+        ++pendingCorrupt_[i];
+        break;
+      case FaultEffect::DropArm:
+        ++pendingDrop_[i];
+        break;
+      case FaultEffect::Outage:
+        // A down link garbles everything that crosses it during the
+        // window; control traffic is assumed on a protected sideband,
+        // so credits and SMs keep flowing.
+        outageEnd_[i] = std::max(outageEnd_[i], e.cycle + e.duration);
+        break;
+      case FaultEffect::Flaky:
+        flakyEnd_[i] = std::max(flakyEnd_[i], e.cycle + e.window);
         flakyProb_[i] = e.prob;
         // Decorrelate the two directions (and parallel links) without
         // depending on arm order.
         flakySeed_[i] = splitmix64(e.seed ^ (0x1000003ull * (li + 1)));
+        break;
     }
-    ++net_.stats().transientFaults;
 }
 
 void
@@ -216,11 +179,11 @@ FaultInjector::noteApplied(const FaultEvent &e, Cycle now)
         obs::TraceEvent te;
         te.cycle = now;
         te.category = obs::kCatFault;
-        te.name = enumRow(e.kind).event;
-        const bool routerKind = e.kind == FaultKind::RouterFail ||
-                                e.kind == FaultKind::RouterOutage;
-        te.router = routerKind ? e.router : e.src;
-        te.arg0 = routerKind ? -1 : e.dst;
+        const FaultKindName &row = enumRow(e.kind);
+        const bool routerTarget = row.target == FaultTarget::Router;
+        te.name = row.event;
+        te.router = routerTarget ? e.router : e.src;
+        te.arg0 = routerTarget ? -1 : e.dst;
         t->record(te);
     }
     if (obs::Forensics *f = net_.forensics())

@@ -114,12 +114,10 @@ class FaultInjector
     obs::JsonValue toJson() const;
 
   private:
-    void applyLinkFail(const FaultEvent &e);
-    void applyRouterFail(const FaultEvent &e, Cycle now);
-    void applyTransient(const FaultEvent &e);
-    void applyOutage(const FaultEvent &e);
-    void applyFlaky(const FaultEvent &e);
-    void failLinkIndex(int li);
+    /** Apply @p e's effect to every link its target hits. */
+    void apply(const FaultEvent &e, Cycle now);
+    /** Apply @p effect of @p e to link index @p li. */
+    void hitLink(const FaultEvent &e, FaultEffect effect, int li);
     void noteApplied(const FaultEvent &e, Cycle now);
     /** One transmission attempt on link @p li at cycle @p t: corrupted
      *  by an active outage window or a flaky Bernoulli hit? Consumes

@@ -28,42 +28,81 @@
 namespace spin::fault
 {
 
-/** Fault event kinds (JSON "kind" values in docs/FAULTS.md). */
+/** Fault event kinds (JSON "kind" values in docs/FAULTS.md). What a
+ *  kind hits and does are the target and effect columns of its row in
+ *  kFaultKindNames. */
 enum class FaultKind : std::uint8_t
 {
-    LinkFail,     //!< permanent: both directions between src and dst die
-    RouterFail,   //!< permanent: the router and all its links die
-    Corrupt,      //!< transient: tag the next flit on (src, dst) corrupted
-    Drop,         //!< transient: the next packet on (src, dst) is
-                  //!< discarded by the destination NIC on ejection
-    RandomLinks,  //!< macro: seed-derived set of LinkFail events
-    LinkOutage,   //!< transient: every flit crossing (src, dst) in
-                  //!< [cycle, cycle + duration) is corrupted
-    RouterOutage, //!< transient: LinkOutage on every link of the router
-    Flaky,        //!< transient: per-flit corruption probability on
-                  //!< (src, dst) over [cycle, cycle + window)
-    FlakyLinks,   //!< macro: seed-derived set of Flaky events
+    LinkFail,
+    RouterFail,
+    Corrupt,
+    Drop,
+    RandomLinks,
+    LinkOutage,
+    RouterOutage,
+    Flaky,
+    FlakyLinks,
 };
 
-/** A fault kind's JSON "kind" value and the trace event its
- *  application records (the macros expand before they apply). */
+/** Which links a fault kind hits, named by its target JSON fields. */
+enum class FaultTarget : std::uint8_t
+{
+    Link,         //!< "src", "dst": every link between the pair, both
+                  //!< directions, parallel links included
+    DirectedLink, //!< "src", "dst": the first src->dst link, else the
+                  //!< first dst->src link
+    Router,       //!< "router": every link touching the router
+    SeedPicked,   //!< "count" >= 1, "seed": a macro; concretize() draws
+                  //!< count link pairs from the seed
+};
+
+/** What a fault kind does to the links it hits, with its effect JSON
+ *  fields. */
+enum class FaultEffect : std::uint8_t
+{
+    Fail,       //!< permanent: the links die (and a target router)
+    CorruptArm, //!< the next flit entering the link is corrupted
+    DropArm,    //!< the next packet entering the link is discarded by
+                //!< the destination NIC on ejection
+    Outage,     //!< "duration" >= 1: every flit entering the link in
+                //!< [cycle, cycle + duration) is corrupted
+    Flaky,      //!< "window" >= 1, "prob" in (0, 1], "seed" (optional
+                //!< on a link target): each flit entering the link in
+                //!< [cycle, cycle + window) is corrupted with
+                //!< probability prob
+};
+
+/** A fault kind's JSON "kind" value, target, effect, and the trace
+ *  event its application records (none for a macro, which concretize()
+ *  expands before anything applies). */
 struct FaultKindName
 {
     FaultKind value;
     const char *name;
+    FaultTarget target;
+    FaultEffect effect;
     const char *event;
 };
 
 inline constexpr FaultKindName kFaultKindNames[] = {
-    {FaultKind::LinkFail, "link", "link_fail"},
-    {FaultKind::RouterFail, "router", "router_fail"},
-    {FaultKind::Corrupt, "corrupt", "corrupt_arm"},
-    {FaultKind::Drop, "drop", "drop_arm"},
-    {FaultKind::RandomLinks, "random-links", "random_links"},
-    {FaultKind::LinkOutage, "link-outage", "link_outage"},
-    {FaultKind::RouterOutage, "router-outage", "router_outage"},
-    {FaultKind::Flaky, "flaky", "flaky_arm"},
-    {FaultKind::FlakyLinks, "flaky-links", "flaky_links"},
+    {FaultKind::LinkFail, "link", FaultTarget::Link, FaultEffect::Fail,
+     "link_fail"},
+    {FaultKind::RouterFail, "router", FaultTarget::Router,
+     FaultEffect::Fail, "router_fail"},
+    {FaultKind::Corrupt, "corrupt", FaultTarget::DirectedLink,
+     FaultEffect::CorruptArm, "corrupt_arm"},
+    {FaultKind::Drop, "drop", FaultTarget::DirectedLink,
+     FaultEffect::DropArm, "drop_arm"},
+    {FaultKind::RandomLinks, "random-links", FaultTarget::SeedPicked,
+     FaultEffect::Fail, nullptr},
+    {FaultKind::LinkOutage, "link-outage", FaultTarget::Link,
+     FaultEffect::Outage, "link_outage"},
+    {FaultKind::RouterOutage, "router-outage", FaultTarget::Router,
+     FaultEffect::Outage, "router_outage"},
+    {FaultKind::Flaky, "flaky", FaultTarget::Link, FaultEffect::Flaky,
+     "flaky_arm"},
+    {FaultKind::FlakyLinks, "flaky-links", FaultTarget::SeedPicked,
+     FaultEffect::Flaky, nullptr},
 };
 constexpr const auto &enumNames(FaultKind) { return kFaultKindNames; }
 
@@ -72,26 +111,27 @@ struct FaultEvent;
 /** Human-readable one-liner, e.g. "link 5<->6 failed @ cycle 1000". */
 std::string describe(const FaultEvent &e);
 
-/** One scheduled fault. Fields that do not apply stay at sentinels. */
+/** One scheduled fault. Fields its kind's target and effect do not
+ *  name stay at sentinels. */
 struct FaultEvent
 {
     Cycle cycle = 0;
     FaultKind kind = FaultKind::LinkFail;
-    /** Link endpoints (LinkFail / Corrupt / Drop / LinkOutage / Flaky). */
+    /** Link endpoints (link and directed-link targets). */
     RouterId src = kInvalidId;
     RouterId dst = kInvalidId;
-    /** Failing router (RouterFail / RouterOutage). */
+    /** Target router (router targets). */
     RouterId router = kInvalidId;
-    /** Number of links to pick (RandomLinks / FlakyLinks). */
+    /** Number of links to pick (seed-picked targets). */
     int count = 0;
-    /** Selection seed (RandomLinks / FlakyLinks); also the Bernoulli
-     *  stream seed of Flaky events. */
+    /** Selection seed (seed-picked targets); also the Bernoulli stream
+     *  seed of the flaky effect. */
     std::uint64_t seed = 0;
-    /** Outage length in cycles (LinkOutage / RouterOutage). */
+    /** Outage length in cycles (outage effect). */
     Cycle duration = 0;
-    /** Flaky window length in cycles (Flaky / FlakyLinks). */
+    /** Flaky window length in cycles (flaky effect). */
     Cycle window = 0;
-    /** Per-flit corruption probability in (0, 1] (Flaky / FlakyLinks). */
+    /** Per-flit corruption probability in (0, 1] (flaky effect). */
     double prob = 0.0;
 
     obs::JsonValue toJson() const;
@@ -119,10 +159,11 @@ struct FaultSchedule
     std::string validate(const Topology &topo) const;
 
     /**
-     * Expand macros into concrete events against @p topo:
-     * "random-links" becomes its seed-derived LinkFail events and
-     * "flaky-links" its seed-derived Flaky events; other events pass
-     * through. The result is stably sorted by cycle and fully
+     * Expand macros into concrete events against @p topo: a seed-picked
+     * target becomes one event per drawn link pair, of the link-target
+     * kind with the macro's effect ("random-links" into "link",
+     * "flaky-links" into "flaky" with per-link seeds); other events
+     * pass through. The result is stably sorted by cycle and fully
      * deterministic.
      */
     std::vector<FaultEvent> concretize(const Topology &topo) const;

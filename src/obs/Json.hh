@@ -11,7 +11,10 @@
 #ifndef SPINNOC_OBS_JSON_HH
 #define SPINNOC_OBS_JSON_HH
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,6 +67,36 @@ class JsonValue
     std::uint64_t asU64() const
     {
         return exact_ ? int_ : static_cast<std::uint64_t>(num_);
+    }
+    /** True when this is a whole number that @p T holds; @p out then
+     *  holds it exactly. */
+    template <std::integral T>
+    bool asInteger(T &out) const
+    {
+        if (type_ != Type::Number)
+            return false;
+        if (exact_ && num_ < 0) {
+            const auto i = static_cast<std::int64_t>(int_);
+            if (!std::in_range<T>(i))
+                return false;
+            out = static_cast<T>(i);
+            return true;
+        }
+        if (exact_) {
+            if (!std::in_range<T>(int_))
+                return false;
+            out = static_cast<T>(int_);
+            return true;
+        }
+        // min() is 0 or -2^k and max() + 1 rounds to 2^k, so both
+        // compares are exact.
+        using Lim = std::numeric_limits<T>;
+        if (std::trunc(num_) != num_ ||
+            num_ < static_cast<double>(Lim::min()) ||
+            num_ >= static_cast<double>(Lim::max()) + 1.0)
+            return false;
+        out = static_cast<T>(num_);
+        return true;
     }
     const std::string &asString() const { return str_; }
 

@@ -354,6 +354,25 @@ TEST(ArgParseTest, IntFlagRejectsWhatAnIntCannotHold)
     EXPECT_NE(err.find("out of range"), std::string::npos) << err;
 }
 
+TEST(ArgParseTest, IntFlagRejectsWhatItsRangeExcludes)
+{
+    int n = 7;
+    const std::vector<ArgSpec> specs = {
+        argInt("-n, --count", &n, "", 1, 64)};
+    std::string err;
+    for (const char *ok : {"1", "64"}) {
+        EXPECT_TRUE(runParse({"--count", ok}, specs, err)) << err;
+        EXPECT_EQ(n, std::stoi(ok));
+    }
+    for (const char *bad : {"0", "65", "2147483647", "4294967297"}) {
+        n = 5;
+        EXPECT_FALSE(runParse({"-n", bad}, specs, err)) << bad;
+        EXPECT_EQ(err, std::string("-n, --count out of range: '") + bad +
+                           "' (min 1, max 64)");
+        EXPECT_EQ(n, 5) << bad;
+    }
+}
+
 TEST(ArgParseTest, UsageAlignsAndWrapsEveryRow)
 {
     std::uint64_t n = 0;

@@ -73,7 +73,7 @@ TEST(FaultScheduleTest, RoundTripsThroughJson)
 
 TEST(FaultScheduleTest, RejectsMalformedDocuments)
 {
-    auto fails = [](const char *json, const char *want_in_err) {
+    auto fails = [](const std::string &json, const char *want_in_err) {
         std::string perr;
         const obs::JsonValue doc = obs::JsonValue::parse(json, &perr);
         EXPECT_TRUE(perr.empty()) << perr;
@@ -96,6 +96,70 @@ TEST(FaultScheduleTest, RejectsMalformedDocuments)
         R"({"schema": "spin-faults/v2",
             "events": [{"kind": "link", "cycle": 1}]})",
         "src"));
+
+    // A field holds exactly what the document says: a value its field
+    // cannot hold, or one that is not whole, is rejected, never wrapped
+    // (2^32 + 1 is not 1 link or router 1) or truncated.
+    const auto event = [](const char *ev) {
+        return std::string(R"({"schema": "spin-faults/v2", "events": [)") +
+               ev + "]}";
+    };
+    EXPECT_TRUE(fails(event(R"({"kind": "random-links", "cycle": 1,
+                               "count": 4294967297, "seed": 7})"),
+                      "needs an integer 'count'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "link", "cycle": 1,
+                               "src": 4294967297, "dst": 2})"),
+                      "needs an integer 'src'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "router", "cycle": 1,
+                               "router": 4294967301})"),
+                      "needs an integer 'router'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "link", "cycle": 1, "src": 1.7,
+                               "dst": 2})"),
+                      "needs an integer 'src'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "link", "cycle": 1.5, "src": 1,
+                               "dst": 2})"),
+                      "needs a non-negative 'cycle'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "link-outage", "cycle": 1,
+                               "src": 1, "dst": 2, "duration": 2.9})"),
+                      "needs an integer 'duration'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "random-links", "cycle": 1,
+                               "count": 1.5, "seed": 7})"),
+                      "needs an integer 'count'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "flaky", "cycle": 1, "src": 1,
+                               "dst": 2, "window": 4, "prob": 0.5,
+                               "seed": "x"})"),
+                      "needs an integer 'seed'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "random-links", "cycle": 1,
+                               "count": 2, "seed": -7})"),
+                      "needs an integer 'seed'"));
+    EXPECT_TRUE(fails(event(R"({"kind": "link", "cycle": 1,
+                               "src": 1, "dst": -2147483649})"),
+                      "needs an integer 'dst'"));
+}
+
+TEST(FaultScheduleTest, ReadsWholeNumbersExactly)
+{
+    const FaultSchedule fs = parseSchedule(
+        R"({"schema": "spin-faults/v2",
+            "events": [
+              {"kind": "flaky", "cycle": 18446744073709551615,
+               "src": -1, "dst": 2147483647, "window": 1e3, "prob": 1,
+               "seed": 18446744073709551615},
+              {"kind": "random-links", "cycle": 2.0, "count": 2147483647,
+               "seed": 0}
+            ]})");
+    ASSERT_EQ(fs.events.size(), 2u);
+    const FaultEvent &flaky = fs.events[0];
+    EXPECT_EQ(flaky.cycle, 18446744073709551615ull);
+    EXPECT_EQ(flaky.src, -1); // validate() reports the range
+    EXPECT_EQ(flaky.dst, 2147483647);
+    EXPECT_EQ(flaky.window, 1000u);
+    EXPECT_EQ(flaky.seed, 18446744073709551615ull);
+    EXPECT_EQ(fs.events[1].cycle, 2u);
+    EXPECT_EQ(fs.events[1].count, 2147483647);
+    const Topology topo = makeMesh(4, 4);
+    EXPECT_EQ(fs.validate(topo),
+              "faults: event 0: link endpoint out of range");
 }
 
 TEST(FaultScheduleTest, ValidateCatchesOutOfRangeEndpoints)

@@ -99,7 +99,9 @@ main(int argc, char **argv)
         argStr("--spec", &specArg, "built-in spec name or JSON spec file",
                "NAME|FILE"),
         argInt("-j, --jobs", &copt.jobs,
-               "worker threads, one cell each (default 1)"),
+               "worker threads, one cell each (1 to " +
+                   std::to_string(kMaxThreads) + ", default 1)",
+               1, kMaxThreads),
         argStr("--out", &outDir,
                "per-cell result dir (default sweep-out/<spec>); enables "
                "resume",
