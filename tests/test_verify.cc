@@ -15,7 +15,9 @@
 
 #include "core/SpinManager.hh"
 #include "network/Network.hh"
+#include "network/NetworkBuilder.hh"
 #include "router/Router.hh"
+#include "topology/Ring.hh"
 #include "verify/Digest.hh"
 #include "verify/Explorer.hh"
 #include "verify/Scenarios.hh"
@@ -173,6 +175,41 @@ TEST(VerifyDigest, EvolvingStateChangesTheDigest)
     EXPECT_NE(canonicalDigest(*net, true), empty);
 }
 
+/** A 4-router ring without recovery (1 vnet x 1 VC, depth 5) carrying
+ *  one 5-flit packet @p src -> @p dest. */
+std::unique_ptr<Network>
+ringWithPacket(NodeId src, NodeId dest)
+{
+    NetworkConfig cfg;
+    cfg.vnets = 1;
+    cfg.vcsPerVnet = 1;
+    cfg.vcDepth = 5;
+    cfg.maxPacketSize = 5;
+    cfg.scheme = DeadlockScheme::None;
+    auto net = buildNetwork(std::make_shared<Topology>(makeRing(4)), cfg,
+                            RoutingKind::MinimalAdaptive);
+    net->offerPacket(net->makePacket(src, dest, 0, 5));
+    return net;
+}
+
+TEST(VerifyDigest, RotatedStatesShareTheCanonicalDigest)
+{
+    // 1 -> 2 is 0 -> 1 rotated by one router; 0 -> 3 is its mirror
+    // image, which no rotation reaches. (Under the spin scheme the
+    // rotating priority is per router id, so rotations differ there.)
+    std::unique_ptr<Network> a = ringWithPacket(0, 1);
+    std::unique_ptr<Network> rotated = ringWithPacket(1, 2);
+    std::unique_ptr<Network> mirrored = ringWithPacket(0, 3);
+    for (Cycle c = 0; c <= 13; ++c) {
+        const std::uint64_t d = canonicalDigest(*a, true);
+        EXPECT_EQ(canonicalDigest(*rotated, true), d) << "cycle " << c;
+        EXPECT_NE(canonicalDigest(*mirrored, true), d) << "cycle " << c;
+        a->step();
+        rotated->step();
+        mirrored->step();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Explorer
 // ---------------------------------------------------------------------
@@ -200,6 +237,39 @@ TEST(VerifyExplorer, BudgetOneExploresAndStaysClean)
     // root: the protocol has real choice points on this scenario.
     EXPECT_GT(res.runs, 10u);
     EXPECT_EQ(res.runs, res.choicePoints + 1);
+}
+
+TEST(VerifyExplorer, BudgetTwoStateSpaceIsPinned)
+{
+    // The depth the model-b2 benchmark workload explores (the CI
+    // baseline, tools/MODEL_baseline.json, pins budget 1). A change to
+    // the digest or to when it is taken must keep every count.
+    struct Want
+    {
+        const char *scenario;
+        std::uint64_t runs, states, pruned, choicePoints, cycles;
+    };
+    const Want wants[] = {
+        {"ring4", 253, 1657, 230, 252, 16817},
+        {"shared8", 307, 1664, 285, 306, 19296},
+        {"fault-ring4", 2000, 11447, 1819, 1990, 124253},
+        {"dual-torus8", 909, 4390, 822, 908, 38594},
+    };
+    ASSERT_EQ(std::size(wants), scenarios().size());
+    for (const Want &w : wants) {
+        const Scenario *sc = findScenario(w.scenario);
+        ASSERT_NE(sc, nullptr) << w.scenario;
+        ExplorerOptions opt;
+        opt.budget = 2;
+        const ExploreResult res = explore(*sc, opt);
+        EXPECT_TRUE(res.exhausted) << w.scenario;
+        EXPECT_TRUE(res.violations.empty()) << w.scenario;
+        EXPECT_EQ(res.runs, w.runs) << w.scenario;
+        EXPECT_EQ(res.statesVisited, w.states) << w.scenario;
+        EXPECT_EQ(res.prunedRuns, w.pruned) << w.scenario;
+        EXPECT_EQ(res.choicePoints, w.choicePoints) << w.scenario;
+        EXPECT_EQ(res.cyclesSimulated, w.cycles) << w.scenario;
+    }
 }
 
 TEST(VerifyExplorer, SharedLoopCaseTwoStaysClean)
