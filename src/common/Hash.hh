@@ -2,10 +2,12 @@
  * @file
  * The two non-cryptographic hashes behind every deterministic
  * derivation: splitmix64 (cell seeds, fault picks, flaky-link streams,
- * RNG seeding) and 64-bit FNV-1a (resume fingerprints, model-checker
- * state digests). Committed baselines pin their outputs
- * (bench/BENCH_sweep.json, tools/MODEL_baseline.json), so neither may
- * change.
+ * RNG seeding, and the model checker's per-cycle state digests, which
+ * fold one word per field) and 64-bit FNV-1a (resume fingerprints, the
+ * text half of cell seeds, and the model checker's decision keys). Cell
+ * seeds and fingerprints are persisted (bench/BENCH_sweep.json, resume
+ * caches), so neither hash may change; tools/MODEL_baseline.json pins
+ * the checker's counts, not its digest values.
  */
 
 #ifndef SPINNOC_COMMON_HASH_HH

@@ -2,8 +2,11 @@
 
 #include <array>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
+#include <limits>
 #include <optional>
+#include <type_traits>
 
 #include "common/Hash.hh"
 #include "common/Logging.hh"
@@ -194,6 +197,65 @@ wantNumber(const obs::JsonValue &doc, const char *key, double &out,
     return true;
 }
 
+/** "from @p lo to T's max": the values an integer key takes. */
+template <std::integral T>
+std::string
+integerRange(T lo)
+{
+    return "from " + std::to_string(lo) + " to " +
+           std::to_string(std::numeric_limits<T>::max());
+}
+
+/** Read integer @p key exactly when present: a whole number from @p lo
+ *  up that @p T holds, else an error naming the key. */
+template <std::integral T>
+bool
+wantInteger(const obs::JsonValue &doc, const char *key, T &out,
+            std::string &err,
+            std::type_identity_t<T> lo = std::numeric_limits<T>::min())
+{
+    const obs::JsonValue *v = doc.find(key);
+    if (!v)
+        return true;
+    T x{};
+    if (!v->asInteger(x) || x < lo) {
+        err = std::string("spec: '") + key + "' must be an integer " +
+              integerRange(lo);
+        return false;
+    }
+    out = x;
+    return true;
+}
+
+/** Read the non-empty integer array @p key exactly when present, each
+ *  element as wantInteger() reads a value. */
+template <std::integral T>
+bool
+wantIntegerArray(const obs::JsonValue &doc, const char *key,
+                 std::vector<T> &out, std::string &err,
+                 std::type_identity_t<T> lo)
+{
+    const obs::JsonValue *v = doc.find(key);
+    if (!v)
+        return true;
+    if (!v->isArray() || v->size() == 0) {
+        err = std::string("spec: '") + key +
+              "' must be a non-empty array of integers " + integerRange(lo);
+        return false;
+    }
+    out.clear();
+    for (std::size_t i = 0; i < v->size(); ++i) {
+        T x{};
+        if (!v->at(i).asInteger(x) || x < lo) {
+            err = std::string("spec: '") + key +
+                  "' must contain only integers " + integerRange(lo);
+            return false;
+        }
+        out.push_back(x);
+    }
+    return true;
+}
+
 bool
 wantStringArray(const obs::JsonValue &doc, const char *key,
                 std::vector<std::string> &out, std::string &err)
@@ -267,13 +329,13 @@ SweepSpec::fromJson(const obs::JsonValue &doc, SweepSpec &out,
             s.rates.push_back(rates->at(i).asNumber());
         }
     } else if (rates->isObject()) {
-        double lo = 0.0, hi = 0.0, points = 0.0;
+        double lo = 0.0, hi = 0.0;
+        int n = 0;
         if (!wantNumber(*rates, "lo", lo, err) ||
             !wantNumber(*rates, "hi", hi, err) ||
-            !wantNumber(*rates, "points", points, err)) {
+            !wantInteger(*rates, "points", n, err, 1)) {
             return false;
         }
-        const int n = static_cast<int>(points);
         if (n < 1 || lo <= 0.0 || hi < lo) {
             err = "spec: rates ladder needs 0 < lo <= hi and points >= 1";
             return false;
@@ -290,39 +352,9 @@ SweepSpec::fromJson(const obs::JsonValue &doc, SweepSpec &out,
         return false;
     }
 
-    const obs::JsonValue *seeds = doc.find("seeds");
-    if (seeds) {
-        if (!seeds->isArray() || seeds->size() == 0) {
-            err = "spec: 'seeds' must be a non-empty array of integers";
-            return false;
-        }
-        s.seeds.clear();
-        for (std::size_t i = 0; i < seeds->size(); ++i) {
-            if (!seeds->at(i).isNumber()) {
-                err = "spec: 'seeds' must contain only integers";
-                return false;
-            }
-            s.seeds.push_back(seeds->at(i).asU64());
-        }
-    }
-
-    const obs::JsonValue *faults = doc.find("faults");
-    if (faults) {
-        if (!faults->isArray() || faults->size() == 0) {
-            err = "spec: 'faults' must be a non-empty array of "
-                  "non-negative integers";
-            return false;
-        }
-        s.faults.clear();
-        for (std::size_t i = 0; i < faults->size(); ++i) {
-            if (!faults->at(i).isNumber() ||
-                faults->at(i).asNumber() < 0) {
-                err = "spec: 'faults' must contain only non-negative "
-                      "integers";
-                return false;
-            }
-            s.faults.push_back(static_cast<int>(faults->at(i).asNumber()));
-        }
+    if (!wantIntegerArray(doc, "seeds", s.seeds, err, 0) ||
+        !wantIntegerArray(doc, "faults", s.faults, err, 0)) {
+        return false;
     }
 
     const obs::JsonValue *rel = doc.find("reliability");
@@ -347,29 +379,13 @@ SweepSpec::fromJson(const obs::JsonValue &doc, SweepSpec &out,
         }
     }
 
-    double warmup = static_cast<double>(s.warmup);
-    double measure = static_cast<double>(s.measure);
-    double faultCycle = static_cast<double>(s.faultCycle);
-    double seedBase = 0.0;
-    if (!wantNumber(doc, "warmup", warmup, err) ||
-        !wantNumber(doc, "measure", measure, err) ||
-        !wantNumber(doc, "faultCycle", faultCycle, err) ||
+    if (!wantInteger(doc, "warmup", s.warmup, err) ||
+        !wantInteger(doc, "measure", s.measure, err, 1) ||
+        !wantInteger(doc, "faultCycle", s.faultCycle, err) ||
         !wantNumber(doc, "latencyCap", s.latencyCap, err) ||
-        !wantNumber(doc, "seedBase", seedBase, err)) {
+        !wantInteger(doc, "seedBase", s.seedBase, err)) {
         return false;
     }
-    if (faultCycle < 0) {
-        err = "spec: need faultCycle >= 0";
-        return false;
-    }
-    s.faultCycle = static_cast<Cycle>(faultCycle);
-    if (warmup < 0 || measure < 1) {
-        err = "spec: need warmup >= 0 and measure >= 1";
-        return false;
-    }
-    s.warmup = static_cast<Cycle>(warmup);
-    s.measure = static_cast<Cycle>(measure);
-    s.seedBase = static_cast<std::uint64_t>(seedBase);
 
     const std::string verr = s.validate();
     if (!verr.empty()) {

@@ -1,6 +1,7 @@
 #include "verify/Digest.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/Hash.hh"
 #include "common/Logging.hh"
@@ -15,11 +16,39 @@ namespace spin::verify
 namespace
 {
 
-/** lcm(1..8) * 2: the detection-pick alternation in tickDetect() reads
- *  probeAttempt only through %2 and (/2) % ripe.size() with
- *  ripe.size() <= 8 on the bounded scenarios, so this residue carries
- *  all of its behavioral content while staying bounded. */
-constexpr std::uint64_t kAttemptPeriod = 2 * 840;
+/** Most detection candidates (ripe VCs) a router may have for the
+ *  probeAttempt residue below to stay exact; canonicalDigest() rejects
+ *  a SPIN network that could exceed it. */
+constexpr int kMaxRipe = 8;
+
+constexpr std::uint64_t
+lcmUpTo(int n)
+{
+    std::uint64_t l = 1;
+    for (int i = 2; i <= n; ++i)
+        l = std::lcm(l, static_cast<std::uint64_t>(i));
+    return l;
+}
+
+/** 2 * lcm(1..kMaxRipe) = 1680: the detection-pick alternation in
+ *  tickDetect() reads probeAttempt only through %2 and
+ *  (/2) % ripe.size() with ripe.size() <= kMaxRipe, so this residue
+ *  carries all of its behavioral content while staying bounded. */
+constexpr std::uint64_t kAttemptPeriod = 2 * lcmUpTo(kMaxRipe);
+static_assert(kAttemptPeriod == 1680);
+
+/** Folds each field as one 64-bit word: h = splitmix64(h ^ word). */
+class WordHash
+{
+  public:
+    void u64(std::uint64_t v) { h_ = splitmix64(h_ ^ v); }
+    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+    void b(bool v) { u64(v ? 1 : 0); }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0;
+};
 
 std::int64_t
 rel(Cycle abs, Cycle now)
@@ -40,7 +69,7 @@ mapped(const std::vector<int> &perm, RouterId r)
 }
 
 void
-hashPacket(Fnv1a &h, const Packet &p, const std::vector<int> &perm)
+hashPacket(WordHash &h, const Packet &p, const std::vector<int> &perm)
 {
     // Identity-free normalization: two packets with the same source,
     // destination, class, size and routing phase are interchangeable.
@@ -57,7 +86,7 @@ hashPacket(Fnv1a &h, const Packet &p, const std::vector<int> &perm)
 }
 
 void
-hashSm(Fnv1a &h, const SpecialMsg &sm, Cycle now,
+hashSm(WordHash &h, const SpecialMsg &sm, Cycle now,
        const std::vector<int> &perm)
 {
     h.u64(static_cast<std::uint64_t>(sm.type));
@@ -71,18 +100,16 @@ hashSm(Fnv1a &h, const SpecialMsg &sm, Cycle now,
     h.i64(rel(sm.spinCycle, now));
 }
 
-} // namespace
-
+/**
+ * Digest @p net under the router renaming @p perm (perm[r] = canonical
+ * index of router r). Renamings other than the identity require one
+ * NIC per router with node ids equal to router ids (true for every
+ * shipped scenario topology).
+ */
 std::uint64_t
-digestNetwork(Network &net, const std::vector<int> &perm_in)
+digestNetwork(Network &net, const std::vector<int> &perm)
 {
     const int n = net.numRouters();
-    std::vector<int> perm = perm_in;
-    if (perm.empty()) {
-        perm.resize(n);
-        for (int r = 0; r < n; ++r)
-            perm[r] = r;
-    }
     SPIN_ASSERT(static_cast<int>(perm.size()) == n, "bad perm size");
     std::vector<int> inv(n, -1);
     for (int r = 0; r < n; ++r)
@@ -92,7 +119,7 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
     const int vcs = net.config().totalVcs();
     SpinManager *mgr = net.spinManager();
     const fault::FaultInjector *fi = net.faults();
-    Fnv1a h;
+    WordHash h;
 
     // Routers, in canonical order.
     for (int c = 0; c < n; ++c) {
@@ -279,16 +306,46 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
     return h.value();
 }
 
+/** Reject a SPIN network on which kAttemptPeriod would merge states
+ *  that pick different detection candidates. */
+void
+checkAttemptResidue(Network &net)
+{
+    if (!net.spinManager())
+        return;
+    const int vcs = net.config().totalVcs();
+    for (RouterId r = 0; r < net.numRouters(); ++r) {
+        const Router &rt = net.router(r);
+        int ports = 0;
+        for (PortId p = 0; p < rt.radix(); ++p) {
+            if (!rt.input(p).fromNic())
+                ++ports;
+        }
+        if (ports * vcs > kMaxRipe) {
+            SPIN_FATAL("verify: router ", r, " has ", ports * vcs,
+                       " detection candidates (", ports,
+                       " in-network ports x ", vcs,
+                       " VCs); the state digest keeps probeAttempt "
+                       "modulo ",
+                       kAttemptPeriod, ", exact for at most ", kMaxRipe);
+        }
+    }
+}
+
+} // namespace
+
 std::uint64_t
 canonicalDigest(Network &net, bool ring_symmetry)
 {
-    if (!ring_symmetry)
-        return digestNetwork(net);
+    checkAttemptResidue(net);
     const int n = net.numRouters();
+    std::vector<int> perm(static_cast<std::size_t>(n));
+    std::iota(perm.begin(), perm.end(), 0);
+    if (!ring_symmetry)
+        return digestNetwork(net, perm);
     SPIN_ASSERT(net.numNodes() == n,
                 "ring symmetry requires one NIC per router");
     std::uint64_t best = ~0ull;
-    std::vector<int> perm(static_cast<std::size_t>(n));
     for (int k = 0; k < n; ++k) {
         for (int r = 0; r < n; ++r)
             perm[r] = (r + k) % n;

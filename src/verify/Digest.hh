@@ -2,8 +2,9 @@
  * @file
  * Behavioral state digest for the spin_model explicit-state checker.
  *
- * A digest is a 64-bit FNV-1a hash over everything that determines the
- * network's future behavior: VC buffers and their routing requests,
+ * A digest is a 64-bit hash over everything that determines the
+ * network's future behavior, one word per field, each folded in with
+ * splitmix64 (common/Hash.hh): VC buffers and their routing requests,
  * credit counters, allocation/round-robin pointers, flits and credits
  * on the wires, NIC queues, the SPIN units' FSM snapshots, the SM
  * substrate, the rotating-priority phase and the fault state. All
@@ -16,15 +17,17 @@
  * group: the canonical digest is the minimum over all rotations of the
  * digest of the renamed network. Packet identities are normalized to
  * (src, dest, vnet, size) for this to be sound.
+ *
+ * A SPIN unit's probe-attempt counter is kept modulo 2 * lcm(1..8), so
+ * the digest is exact only while no router has more than 8 detection
+ * candidates (in-network in-ports x VCs); canonicalDigest() raises a
+ * FatalError on a SPIN network that could have more.
  */
 
 #ifndef SPINNOC_VERIFY_DIGEST_HH
 #define SPINNOC_VERIFY_DIGEST_HH
 
 #include <cstdint>
-#include <vector>
-
-#include "common/Types.hh"
 
 namespace spin
 {
@@ -35,19 +38,11 @@ namespace verify
 {
 
 /**
- * Digest @p net under the router renaming @p perm (perm[r] = canonical
- * index of router r; empty = identity). Renamings other than the
- * identity require one NIC per router with node ids equal to router
- * ids (true for every shipped scenario topology).
- */
-std::uint64_t digestNetwork(Network &net,
-                            const std::vector<int> &perm = {});
-
-/**
- * Canonical digest: the minimum of digestNetwork() over the ring's n
+ * Canonical digest: the minimum of the digest over the ring's n
  * rotations when @p ring_symmetry is set (sound only when topology,
  * routing and workload are rotation-equivariant -- the scenario says
- * so), else the identity digest.
+ * so; it needs one NIC per router with node ids equal to router ids),
+ * else the digest under the identity naming.
  */
 std::uint64_t canonicalDigest(Network &net, bool ring_symmetry);
 

@@ -198,7 +198,10 @@ runOnce(const Scenario &sc, const RunSpec &spec, const ExplorerOptions &opt,
         const bool allConsumed =
             std::find(consumed.begin(), consumed.end(), char{0}) ==
             consumed.end();
-        if (ex) {
+        // The digest is read by the visited-state check (all choices
+        // consumed) and by decision keys (budget left). A child that
+        // replays its prefix with neither skips it.
+        if (ex && (allConsumed || remaining > 0)) {
             cycleDigest = canonicalDigest(*net, sc.ringSymmetry);
             if (spec.faultCycle != kNeverCycle && spec.faultCycle > now) {
                 // A scheduled-but-unfired fault is invisible to the

@@ -118,6 +118,58 @@ TEST(SweepSpecTest, RejectsBadDocuments)
     EXPECT_TRUE(specFails(R"({"name": "t", "topology": "mesh4x4",
         "presets": ["WestFirst_3VC"], "patterns": ["uniform-random"],
         "rates": [0.1], "measure": 0})", "measure"));
+
+    // Integer keys hold what the document says or it is rejected:
+    // nothing is truncated, wrapped or cast out of range.
+    const struct
+    {
+        const char *member;
+        const char *key;
+    } inexact[] = {
+        {R"("seeds": [1.9])", "seeds"},
+        {R"("seeds": [-1])", "seeds"},
+        {R"("faults": [2.7])", "faults"},
+        {R"("faults": [4294967297])", "faults"},
+        {R"("warmup": 10.5)", "warmup"},
+        {R"("measure": 1e30)", "measure"},
+        {R"("faultCycle": 7.5)", "faultCycle"},
+        {R"("seedBase": 2.5)", "seedBase"},
+        {R"("seedBase": -1)", "seedBase"},
+    };
+    for (const auto &c : inexact) {
+        const std::string doc =
+            std::string(R"({"name": "t", "topology": "mesh4x4",
+                "presets": ["WestFirst_3VC"],
+                "patterns": ["uniform-random"], "rates": [0.1], )") +
+            c.member + "}";
+        EXPECT_TRUE(specFails(doc.c_str(), c.key)) << c.member;
+    }
+    EXPECT_TRUE(specFails(R"({"name": "t", "topology": "mesh4x4",
+        "presets": ["WestFirst_3VC"], "patterns": ["uniform-random"],
+        "rates": {"lo": 0.1, "hi": 0.5, "points": 2.5}})", "points"));
+}
+
+TEST(SweepSpecTest, ReadsIntegerKeysExactly)
+{
+    // The largest seed survives exactly, and whole numbers written with
+    // an exponent or a fraction point still read.
+    std::string err;
+    const SweepSpec s = parseSpec(
+        R"({"name": "t", "topology": "mesh4x4",
+            "presets": ["WestFirst_3VC"], "patterns": ["uniform-random"],
+            "rates": {"lo": 0.1, "hi": 0.3, "points": 3.0},
+            "seeds": [18446744073709551615, 1e3], "faults": [0, 2e0],
+            "warmup": 1e3, "measure": 2.0, "faultCycle": 5e2,
+            "seedBase": 18446744073709551615})",
+        err);
+    EXPECT_EQ(s.seeds,
+              (std::vector<std::uint64_t>{18446744073709551615ull, 1000}));
+    EXPECT_EQ(s.faults, (std::vector<int>{0, 2}));
+    EXPECT_EQ(s.rates.size(), 3u);
+    EXPECT_EQ(s.warmup, 1000u);
+    EXPECT_EQ(s.measure, 2u);
+    EXPECT_EQ(s.faultCycle, 500u);
+    EXPECT_EQ(s.seedBase, 18446744073709551615ull);
 }
 
 TEST(SweepSpecTest, ValidateAcceptsExactlyTheBuildableTopologyNames)

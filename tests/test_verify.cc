@@ -17,6 +17,7 @@
 #include "network/Network.hh"
 #include "network/NetworkBuilder.hh"
 #include "router/Router.hh"
+#include "topology/Mesh.hh"
 #include "topology/Ring.hh"
 #include "verify/Digest.hh"
 #include "verify/Explorer.hh"
@@ -208,6 +209,33 @@ TEST(VerifyDigest, RotatedStatesShareTheCanonicalDigest)
         rotated->step();
         mirrored->step();
     }
+}
+
+TEST(VerifyDigest, RejectsMoreDetectionCandidatesThanTheResidueCovers)
+{
+    // 4 in-network in-ports x 3 VCs = 12 candidates per router: the
+    // probeAttempt residue (2 * lcm(1..8)) cannot tell 9 to 12 apart.
+    NetworkConfig cfg;
+    cfg.vnets = 1;
+    cfg.vcsPerVnet = 3;
+    cfg.scheme = DeadlockScheme::Spin;
+    auto net = buildNetwork(std::make_shared<Topology>(makeMesh(4, 4)), cfg,
+                            RoutingKind::MinimalAdaptive);
+    try {
+        canonicalDigest(*net, false);
+        ADD_FAILURE() << "a 12-candidate SPIN network was digested";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("router 0 has 12 detection candidates"),
+                  std::string::npos)
+            << msg;
+    }
+
+    // Without a SPIN unit there is no probeAttempt to keep.
+    cfg.scheme = DeadlockScheme::None;
+    auto plain = buildNetwork(std::make_shared<Topology>(makeMesh(4, 4)),
+                              cfg, RoutingKind::MinimalAdaptive);
+    EXPECT_NO_THROW(canonicalDigest(*plain, false));
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs drift checker (the CI docs-check job).
 
-Three gates, all against the working tree — no build needed:
+Four gates, all against the working tree — no build needed:
 
 1. **Flag coverage** — every CLI flag a front-end parses (the name of
    each ``ArgSpec`` row: ``argU64("--seed", ...)``) must appear in that
@@ -21,6 +21,12 @@ Three gates, all against the working tree — no build needed:
    backticked, in ``docs/FAULTS.md``, and its trace event (a macro row
    has none) in ``docs/FAULTS.md`` or ``docs/OBSERVABILITY.md``.
 
+4. **Model-checker example** — every ``N runs, N states, N pruned,
+   N choice points, N cycles`` row of the ``$ spin_model --budget 1``
+   example in ``docs/VERIFICATION.md`` shows all five counts and each
+   equals its scenario's entry in ``tools/MODEL_baseline.json`` (the CI
+   baseline), and every baseline scenario has such a row.
+
 Exit codes: 0 clean, 2 drift detected (the CI gate), 3 setup error
 (missing files — the checker itself is misconfigured).
 
@@ -29,6 +35,7 @@ Usage:
 """
 
 import argparse
+import json
 import os
 import re
 import sys
@@ -72,6 +79,21 @@ FAULT_PAGES = ["docs/FAULTS.md", "docs/OBSERVABILITY.md"]
 FAULT_ROW_RE = re.compile(
     r'\{\s*FaultKind::\w+\s*,\s*"([^"]+)"\s*,\s*FaultTarget::\w+\s*,'
     r'\s*FaultEffect::\w+\s*,\s*(?:"([^"]+)"|nullptr)\s*\}')
+
+# The example run of `spin_model --budget 1`: the fenced block after
+# its prompt line, the row spin_model prints per scenario
+# ("ring4  33 runs,  340 states, ..."), and each of its counts.
+MODEL_DOC = "docs/VERIFICATION.md"
+MODEL_BASELINE = "tools/MODEL_baseline.json"
+MODEL_BLOCK_RE = re.compile(r"^\$ spin_model --budget 1\n(.*?)^```",
+                            re.M | re.S)
+MODEL_ROW_RE = re.compile(r"^(\S+) +(\d+ runs,.*)$", re.M)
+MODEL_COUNT_RE = re.compile(r"(\d+) (runs|states|pruned|choice points|"
+                            r"cycles)\b")
+# Row label -> baseline key.
+MODEL_FIELDS = {"runs": "runs", "states": "statesVisited",
+                "pruned": "prunedRuns", "choice points": "choicePoints",
+                "cycles": "cyclesSimulated"}
 
 # [text](target) markdown links, ignoring images' leading '!' (still a
 # path worth checking) and fenced ``` blocks handled by the caller.
@@ -144,6 +166,43 @@ def check_fault_kinds(root):
     return errors, len(rows), len(events)
 
 
+def check_model_example(root):
+    """Returns (errors, number of rows checked)."""
+    doc = read(os.path.join(root, MODEL_DOC))
+    block = MODEL_BLOCK_RE.search(doc)
+    if not block:
+        fail_setup(f"{MODEL_DOC} has no '$ spin_model --budget 1' block; "
+                   "update MODEL_BLOCK_RE")
+    try:
+        baseline = json.loads(read(os.path.join(root, MODEL_BASELINE)))
+        want = {e["scenario"]: e for e in baseline["scenarios"]}
+    except (ValueError, KeyError, TypeError) as e:
+        fail_setup(f"cannot read the scenarios of {MODEL_BASELINE}: {e}")
+    rows = MODEL_ROW_RE.findall(block.group(1))
+    errors = []
+    for name, row in rows:
+        entry = want.get(name)
+        if entry is None:
+            errors.append(f"{MODEL_DOC}: '{name}' is not a scenario of "
+                          f"{MODEL_BASELINE}")
+            continue
+        counts = {label: int(n) for n, label in MODEL_COUNT_RE.findall(row)}
+        for label, key in MODEL_FIELDS.items():
+            if label not in counts:
+                errors.append(f"{MODEL_DOC}: the {name} row has no "
+                              f"'{label}' count")
+            elif counts[label] != entry[key]:
+                errors.append(f"{MODEL_DOC}: the {name} row shows "
+                              f"{counts[label]} {label}; "
+                              f"{MODEL_BASELINE} has {entry[key]}")
+    shown = {name for name, _ in rows}
+    for name in want:
+        if name not in shown:
+            errors.append(f"{MODEL_DOC}: the spin_model --budget 1 example "
+                          f"has no row for scenario '{name}'")
+    return errors, len(rows)
+
+
 def md_files(root):
     out = []
     for d in LINK_DIRS:
@@ -206,14 +265,20 @@ def main():
     fault_errors, n_kinds, n_events = check_fault_kinds(root)
     print(f"check_docs: {n_kinds:3d} fault kinds and {n_events} applied "
           f"events checked in {FAULT_TABLE}")
-    errors = flag_errors + fault_errors + check_links(root)
+    # And so is every example row MODEL_ROW_RE reads.
+    model_errors, n_rows = check_model_example(root)
+    print(f"check_docs: {n_rows:3d} model-checker rows checked in "
+          f"{MODEL_DOC}")
+    errors = (flag_errors + fault_errors + model_errors +
+              check_links(root))
     if errors:
         print(f"check_docs: {len(errors)} drift issue(s):")
         for e in errors:
             print(f"  {e}")
         print("Document the flag on the binary's page (see "
               "FLAG_TARGETS in tools/check_docs.py), the fault kind or "
-              "event (FAULT_PAGES), or fix the link.")
+              "event (FAULT_PAGES), paste a fresh spin_model --budget 1 "
+              "run into MODEL_DOC, or fix the link.")
         return 2
 
     n_targets = len(FLAG_TARGETS)
