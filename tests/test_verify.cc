@@ -214,7 +214,7 @@ TEST(VerifyDigest, RotatedStatesShareTheCanonicalDigest)
 TEST(VerifyDigest, RejectsMoreDetectionCandidatesThanTheResidueCovers)
 {
     // 4 in-network in-ports x 3 VCs = 12 candidates per router: the
-    // probeAttempt residue (2 * lcm(1..8)) cannot tell 9 to 12 apart.
+    // probeAttempt residue (2 * lcm(1..8)) is exact only up to 8.
     NetworkConfig cfg;
     cfg.vnets = 1;
     cfg.vcsPerVnet = 3;
