@@ -2,7 +2,8 @@
  * @file
  * Golden names of every enumerator the simulator writes as text: SM
  * types, SM actions, protocol mutations, fault kinds (JSON kind and
- * trace event), routing kinds, traffic patterns and deadlock schemes.
+ * trace event), routing kinds, traffic patterns, deadlock schemes and
+ * the SPIN FSM's initiator and paper states.
  * These strings end up in cell ids, cell seeds (which hash the pattern
  * name), resume fingerprints, trace files and committed
  * counterexamples, so a renamed enumerator silently breaks replay and
@@ -193,6 +194,34 @@ TEST(EnumNamesGolden, DeadlockSchemes)
     };
     for (const auto &[scheme, name] : want)
         EXPECT_EQ(std::string(toString(scheme)), name);
+}
+
+TEST(EnumNamesGolden, FsmStates)
+{
+    // The model checker's transition checks write both views' names
+    // into counterexample messages.
+    const std::vector<std::pair<InitState, std::string>> init = {
+        {InitState::Off, "Off"},
+        {InitState::DetectDeadlock, "DetectDeadlock"},
+        {InitState::MoveWait, "MoveWait"},
+        {InitState::FwdProgress, "FwdProgress"},
+        {InitState::ProbeMoveWait, "ProbeMoveWait"},
+        {InitState::KillMoveWait, "KillMoveWait"},
+    };
+    for (const auto &[state, name] : init)
+        EXPECT_EQ(std::string(toString(state)), name);
+
+    const std::vector<std::pair<SpinState, std::string>> paper = {
+        {SpinState::Off, "S_OFF"},
+        {SpinState::DetectDeadlock, "S_DD"},
+        {SpinState::Move, "S_Move"},
+        {SpinState::Frozen, "S_Frozen"},
+        {SpinState::ForwardProgress, "S_Forward_Progress"},
+        {SpinState::ProbeMove, "S_Probe_Move"},
+        {SpinState::KillMove, "S_kill_move"},
+    };
+    for (const auto &[state, name] : paper)
+        EXPECT_EQ(std::string(toString(state)), name);
 }
 
 } // namespace
