@@ -392,54 +392,4 @@ SpinManager::fsmTick(Cycle now)
         u->tick(now);
 }
 
-SmSubstrate
-SpinManager::snapshotSms(Cycle now) const
-{
-    SmSubstrate s;
-    for (int li = 0; li < static_cast<int>(smLines_.size()); ++li) {
-        smLines_[li].forEach([&](Cycle arrival, const SpecialMsg &sm) {
-            SmSubstrate::InFlight f;
-            f.link = li;
-            f.arriveIn = static_cast<std::int64_t>(arrival) -
-                         static_cast<std::int64_t>(now);
-            f.sm = sm;
-            s.inFlight.push_back(std::move(f));
-        });
-    }
-    s.pending.reserve(scheduled_.size());
-    for (const auto &[when, send] : scheduled_) {
-        SmSubstrate::Pending p;
-        p.dueIn = static_cast<std::int64_t>(when) -
-                  static_cast<std::int64_t>(now);
-        p.send = send;
-        s.pending.push_back(std::move(p));
-    }
-    return s;
-}
-
-void
-SpinManager::restoreSms(const SmSubstrate &s, Cycle now)
-{
-    for (DelayLine<SpecialMsg> &line : smLines_)
-        line.clear();
-    smsInFlight_ = 0;
-    scheduled_.clear();
-    for (const SmSubstrate::InFlight &f : s.inFlight) {
-        SPIN_ASSERT(f.link >= 0 &&
-                    f.link < static_cast<int>(smLines_.size()),
-                    "SM substrate restore onto a different topology");
-        smLines_[f.link].push(
-            static_cast<Cycle>(f.arriveIn +
-                               static_cast<std::int64_t>(now)),
-            f.sm);
-        ++smsInFlight_;
-    }
-    for (const SmSubstrate::Pending &p : s.pending) {
-        scheduled_.emplace_back(
-            static_cast<Cycle>(p.dueIn +
-                               static_cast<std::int64_t>(now)),
-            p.send);
-    }
-}
-
 } // namespace spin

@@ -432,82 +432,6 @@ SpinUnit::onSpinCancelled(Cycle now)
     resetDetection(now);
 }
 
-// ---------------------------------------------------------------------
-// Snapshot / restore
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-std::int64_t
-relCycle(Cycle abs, Cycle now)
-{
-    if (abs == kNeverCycle)
-        return FsmSnapshot::kNever;
-    return static_cast<std::int64_t>(abs) - static_cast<std::int64_t>(now);
-}
-
-Cycle
-absCycle(std::int64_t rel, Cycle now)
-{
-    if (rel == FsmSnapshot::kNever)
-        return kNeverCycle;
-    return static_cast<Cycle>(rel + static_cast<std::int64_t>(now));
-}
-
-} // namespace
-
-FsmSnapshot
-SpinUnit::snapshot(Cycle now) const
-{
-    FsmSnapshot s;
-    s.state = state_;
-    s.deadlineIn = relCycle(deadline_, now);
-    s.ptrInport = ptrInport_;
-    s.ptrVc = ptrVc_;
-    s.victimActive = victim_.active;
-    s.victimSource = victim_.source;
-    s.spinIn = victim_.active ? relCycle(victim_.spinCycle, now)
-                              : FsmSnapshot::kNever;
-    s.loopValid = loop_.valid();
-    if (s.loopValid) {
-        s.loopPath = loop_.path();
-        s.loopLatency = loop_.loopLatency();
-        s.loopVnet = loopVnet_;
-    }
-    s.probeAttempt = probeAttempt_;
-    s.frozen.reserve(frozen_.size());
-    for (const FrozenEntry &e : frozen_)
-        s.frozen.push_back(FsmSnapshot::Frozen{e.inport, e.vc, e.outport});
-    return s;
-}
-
-void
-SpinUnit::restore(const FsmSnapshot &s, Cycle now)
-{
-    unfreezeAll();
-    state_ = s.state;
-    deadline_ = absCycle(s.deadlineIn, now);
-    ptrInport_ = s.ptrInport;
-    ptrVc_ = s.ptrVc;
-    victim_.active = s.victimActive;
-    victim_.source = s.victimSource;
-    victim_.spinCycle =
-        s.victimActive ? absCycle(s.spinIn, now) : kNeverCycle;
-    if (s.loopValid)
-        loop_.latch(s.loopPath, s.loopLatency);
-    else
-        loop_.clear();
-    loopVnet_ = s.loopVnet;
-    probeAttempt_ = s.probeAttempt;
-    for (const FsmSnapshot::Frozen &f : s.frozen) {
-        VirtualChannel &v = router_.input(f.inport).vc(f.vc);
-        v.frozen = true;
-        v.frozenOutport = f.outport;
-        frozen_.push_back(FrozenEntry{f.inport, f.vc, f.outport});
-    }
-}
-
 SpinState
 SpinUnit::paperState() const
 {

@@ -82,18 +82,6 @@ class SpinUnit
     void onSpinCancelled(Cycle now);
     /// @}
 
-    /// @name State save/restore (model checker + tests)
-    /// @{
-    /** Capture the unit's full recovery state, times relative to @p now. */
-    FsmSnapshot snapshot(Cycle now) const;
-    /**
-     * Re-apply a snapshot taken at some earlier (or other-run) cycle,
-     * rebasing relative times onto @p now. Releases any currently
-     * frozen VCs, then re-applies the snapshot's freeze flags.
-     */
-    void restore(const FsmSnapshot &s, Cycle now);
-    /// @}
-
     /// @name Introspection
     /// @{
     InitState initState() const { return state_; }
@@ -102,6 +90,16 @@ class SpinUnit
     const LoopBuffer &loopBuffer() const { return loop_; }
     /** In-port of the most recent probe (the acceptance port). */
     PortId pointerInport() const { return ptrInport_; }
+    /** VC of the most recent probe at pointerInport(). */
+    VcId pointerVc() const { return ptrVc_; }
+    /** Expiry of the current state's timer; kNeverCycle when unarmed. */
+    Cycle deadline() const { return deadline_; }
+    /** Message class of the latched loop. Holds its last value after
+     *  the loop clears, so it means something only while
+     *  loopBuffer().valid(). */
+    VnetId loopVnet() const { return loopVnet_; }
+    /** Detection attempts so far (oldest-first / sweep alternation). */
+    std::uint64_t probeAttempt() const { return probeAttempt_; }
     /// @}
 
     /// @name Used by the probe / move managers
@@ -130,9 +128,6 @@ class SpinUnit
     /// @}
 
   private:
-    friend class ProbeManager;
-    friend class MoveManager;
-
     SpinManager &mgr_;
     Router &router_;
     ProbeManager probeMgr_;

@@ -62,9 +62,6 @@ class DelayLine
     bool empty() const { return line_.empty(); }
     std::size_t size() const { return line_.size(); }
 
-    /** Drop every pending item (state restore). */
-    void clear() { line_.clear(); }
-
     /** Inspect pending items as (arrival, item), in arrival order,
      *  without disturbing them (audits, digests). */
     template <typename F>

@@ -76,14 +76,6 @@ class Ring
         return item;
     }
 
-    /** Drop every item; the storage is kept for reuse. */
-    void
-    clear()
-    {
-        while (!empty())
-            pop_front();
-    }
-
   private:
     static constexpr std::size_t kFirstCapacity = 4;
 

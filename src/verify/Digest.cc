@@ -167,23 +167,26 @@ digestNetwork(Network &net, const std::vector<int> &perm)
             }
         }
         if (const SpinUnit *su = rt.spinUnit()) {
-            const FsmSnapshot s = su->snapshot(now);
-            h.u64(static_cast<std::uint64_t>(s.state));
-            h.i64(s.deadlineIn);
-            h.i64(s.ptrInport);
-            h.i64(s.ptrVc);
-            h.b(s.victimActive);
-            h.i64(mapped(perm, s.victimSource));
-            h.i64(s.spinIn);
-            h.b(s.loopValid);
-            h.u64(s.loopPath.size());
-            for (const PortId p : s.loopPath)
+            const VictimCtx &vic = su->victim();
+            const LoopBuffer &loop = su->loopBuffer();
+            h.u64(static_cast<std::uint64_t>(su->initState()));
+            h.i64(rel(su->deadline(), now));
+            h.i64(su->pointerInport());
+            h.i64(su->pointerVc());
+            h.b(vic.active);
+            h.i64(mapped(perm, vic.source));
+            h.i64(rel(vic.active ? vic.spinCycle : kNeverCycle, now));
+            h.b(loop.valid());
+            h.u64(loop.path().size());
+            for (const PortId p : loop.path())
                 h.i64(p);
-            h.u64(static_cast<std::uint64_t>(s.loopLatency));
-            h.u64(static_cast<std::uint64_t>(s.loopVnet));
-            h.u64(s.probeAttempt % kAttemptPeriod);
-            h.u64(s.frozen.size());
-            for (const auto &f : s.frozen) {
+            h.u64(static_cast<std::uint64_t>(loop.loopLatency()));
+            // loopVnet() keeps its last value once the loop clears.
+            h.u64(static_cast<std::uint64_t>(
+                loop.valid() ? su->loopVnet() : 0));
+            h.u64(su->probeAttempt() % kAttemptPeriod);
+            h.u64(su->frozenEntries().size());
+            for (const SpinUnit::FrozenEntry &f : su->frozenEntries()) {
                 h.i64(f.inport);
                 h.i64(f.vc);
                 h.i64(f.outport);
@@ -255,45 +258,61 @@ digestNetwork(Network &net, const std::vector<int> &perm)
         }
     }
 
-    // SM substrate (already relative-time from snapshotSms).
+    // SMs on the wires, ordered by (canonical source, source port,
+    // arrival), then the scheduled ones by (cycle, canonical sender,
+    // out-port, type).
     if (mgr) {
-        SmSubstrate sub = mgr->snapshotSms(now);
-        std::sort(sub.inFlight.begin(), sub.inFlight.end(),
-                  [&](const SmSubstrate::InFlight &a,
-                      const SmSubstrate::InFlight &b) {
-                      const LinkSpec &sa = net.link(a.link).spec();
-                      const LinkSpec &sb = net.link(b.link).spec();
-                      if (perm[sa.src] != perm[sb.src])
-                          return perm[sa.src] < perm[sb.src];
-                      if (sa.srcPort != sb.srcPort)
-                          return sa.srcPort < sb.srcPort;
-                      return a.arriveIn < b.arriveIn;
+        struct OnWire
+        {
+            const LinkSpec *spec;
+            Cycle arrival;
+            const SpecialMsg *sm;
+        };
+        std::vector<OnWire> wires;
+        mgr->forEachSmInFlight(
+            [&](int li, Cycle arrival, const SpecialMsg &sm) {
+                wires.push_back(OnWire{&net.link(li).spec(), arrival, &sm});
+            });
+        std::sort(wires.begin(), wires.end(),
+                  [&](const OnWire &a, const OnWire &b) {
+                      if (perm[a.spec->src] != perm[b.spec->src])
+                          return perm[a.spec->src] < perm[b.spec->src];
+                      if (a.spec->srcPort != b.spec->srcPort)
+                          return a.spec->srcPort < b.spec->srcPort;
+                      return a.arrival < b.arrival;
                   });
-        h.u64(sub.inFlight.size());
-        for (const auto &f : sub.inFlight) {
-            const LinkSpec &spec = net.link(f.link).spec();
-            h.i64(perm[spec.src]);
-            h.i64(spec.srcPort);
-            h.i64(f.arriveIn);
-            hashSm(h, f.sm, now, perm);
+        h.u64(wires.size());
+        for (const OnWire &w : wires) {
+            h.i64(perm[w.spec->src]);
+            h.i64(w.spec->srcPort);
+            h.i64(rel(w.arrival, now));
+            hashSm(h, *w.sm, now, perm);
         }
-        std::sort(sub.pending.begin(), sub.pending.end(),
-                  [&](const SmSubstrate::Pending &a,
-                      const SmSubstrate::Pending &b) {
-                      if (a.dueIn != b.dueIn)
-                          return a.dueIn < b.dueIn;
-                      if (perm[a.send.from] != perm[b.send.from])
-                          return perm[a.send.from] < perm[b.send.from];
-                      if (a.send.outport != b.send.outport)
-                          return a.send.outport < b.send.outport;
-                      return a.send.sm.type < b.send.sm.type;
-                  });
-        h.u64(sub.pending.size());
-        for (const auto &p : sub.pending) {
-            h.i64(p.dueIn);
-            h.i64(perm[p.send.from]);
-            h.i64(p.send.outport);
-            hashSm(h, p.send.sm, now, perm);
+
+        struct Due
+        {
+            Cycle at;
+            const SmSend *send;
+        };
+        std::vector<Due> due;
+        due.reserve(mgr->scheduled().size());
+        for (const auto &[at, send] : mgr->scheduled())
+            due.push_back(Due{at, &send});
+        std::sort(due.begin(), due.end(), [&](const Due &a, const Due &b) {
+            if (a.at != b.at)
+                return a.at < b.at;
+            if (perm[a.send->from] != perm[b.send->from])
+                return perm[a.send->from] < perm[b.send->from];
+            if (a.send->outport != b.send->outport)
+                return a.send->outport < b.send->outport;
+            return a.send->sm.type < b.send->sm.type;
+        });
+        h.u64(due.size());
+        for (const Due &d : due) {
+            h.i64(rel(d.at, now));
+            h.i64(perm[d.send->from]);
+            h.i64(d.send->outport);
+            hashSm(h, d.send->sm, now, perm);
         }
     }
 

@@ -6,11 +6,12 @@
  * network's future behavior, one word per field, each folded in with
  * splitmix64 (common/Hash.hh): VC buffers and their routing requests,
  * credit counters, allocation/round-robin pointers, flits and credits
- * on the wires, NIC queues, the SPIN units' FSM snapshots, the SM
- * substrate, the rotating-priority phase and the fault state. All
- * cycle-valued fields are hashed *relative to the current cycle*, so
- * two states reached at different times that behave identically from
- * here on hash equal -- the property visited-state dedup relies on.
+ * on the wires, NIC queues, each SPIN unit's recovery state, the SMs on
+ * the wires and in the schedule, the rotating-priority phase and the
+ * fault state, each read in place. All cycle-valued fields are hashed
+ * *relative to the current cycle*, so two states reached at different
+ * times that behave identically from here on hash equal -- the
+ * property visited-state dedup relies on.
  *
  * On vertex-transitive configurations (the ring scenarios) the digest
  * can additionally be canonicalized under the topology's rotation

@@ -331,29 +331,6 @@ TEST(DelayLine, ForEachVisitsInDrainOrder)
     EXPECT_EQ(order, (std::vector<int>{2, 4, 3, 1, 5}));
 }
 
-TEST(DelayLine, ClearThenReuse)
-{
-    DelayLine<std::shared_ptr<int>> dl;
-    auto p = std::make_shared<int>(1);
-    for (int i = 0; i < 6; ++i)
-        dl.push(i, p);
-    EXPECT_EQ(p.use_count(), 7);
-    dl.clear();
-    EXPECT_TRUE(dl.empty());
-    EXPECT_EQ(p.use_count(), 1);
-
-    DelayLine<int> ints;
-    for (int i = 0; i < 3; ++i)
-        ints.push(i, i);
-    EXPECT_EQ(drainAll(ints, 1).size(), 2u);
-    ints.clear();
-    ints.push(6, 60);
-    ints.push(5, 50);
-    EXPECT_EQ(pending(ints),
-              (std::vector<std::pair<Cycle, int>>{{5, 50}, {6, 60}}));
-    EXPECT_EQ(drainAll(ints, 6), (std::vector<int>{50, 60}));
-}
-
 TEST(Logging, FatalThrows)
 {
     EXPECT_THROW(SPIN_FATAL("boom ", 42), FatalError);

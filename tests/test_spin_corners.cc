@@ -342,26 +342,41 @@ TEST(SpinCorners, LateOwnProbeReturnIsDroppedAsStale)
     // White-box pin of the guard the model checker leans on: a
     // router's own probe arriving while its recovery is already in
     // flight (MoveWait here) must be classified stale and dropped, not
-    // double-accepted (paper Sec. IV-C2, last question).
+    // double-accepted (paper Sec. IV-C2, last question). A control
+    // network runs the same deadlock without the extra probe.
     auto net = ringNetwork(4, DeadlockScheme::Spin);
+    auto control = ringNetwork(4, DeadlockScheme::Spin);
     SpinManager *mgr = net->spinManager();
     ASSERT_NE(mgr, nullptr);
-    net->run(1);
-    FsmSnapshot s;
-    s.state = InitState::MoveWait;
-    mgr->unit(0).restore(s, net->now());
+    injectRingDeadlock(*net);
+    injectRingDeadlock(*control);
+    RouterId initiator = kInvalidId;
+    while (initiator == kInvalidId && net->now() < 1000) {
+        net->step();
+        control->step();
+        for (RouterId r = 0; r < net->numRouters(); ++r) {
+            if (mgr->unit(r).initState() == InitState::MoveWait)
+                initiator = r;
+        }
+    }
+    ASSERT_NE(initiator, kInvalidId);
 
+    // The initiator's own probe, arriving on its acceptance port from
+    // the upstream router.
     SpecialMsg probe;
     probe.type = SmType::Probe;
-    probe.sender = 0;
+    probe.sender = initiator;
     probe.sendCycle = net->now();
     probe.path = {RingInfo::kCw};
-    mgr->scheduleSend(net->now() + 1, SmSend{probe, 3, RingInfo::kCw});
+    const RouterId upstream = (initiator + 3) % 4;
+    mgr->scheduleSend(net->now() + 1,
+                      SmSend{probe, upstream, RingInfo::kCw});
     net->run(5);
-    EXPECT_EQ(net->stats().probeDropStale, 1u);
-    EXPECT_EQ(net->stats().probesDropped, 1u);
-
-    mgr->unit(0).restore(FsmSnapshot{}, net->now());
+    control->run(5);
+    EXPECT_EQ(net->stats().probeDropStale,
+              control->stats().probeDropStale + 1);
+    EXPECT_EQ(net->stats().probesDropped,
+              control->stats().probesDropped + 1);
 }
 
 TEST(SpinCorners, RecoveryLatencyIsBoundedOnSmallRing)
