@@ -1,5 +1,9 @@
 #include "verify/Trace.hh"
 
+#include <concepts>
+#include <limits>
+#include <string>
+
 namespace spin::verify
 {
 
@@ -17,6 +21,36 @@ need(const obs::JsonValue &v, const char *key, std::string &err)
         return nullptr;
     }
     return m;
+}
+
+/** The string field @p key of @p v; nullptr, with @p err set, when it
+ *  is missing or not a string. */
+const std::string *
+needString(const obs::JsonValue &v, const char *key, std::string &err)
+{
+    const obs::JsonValue *m = need(v, key, err);
+    if (m && !m->isString()) {
+        err = std::string("field \"") + key + "\" is not a string";
+        return nullptr;
+    }
+    return m ? &m->asString() : nullptr;
+}
+
+/** Read the integer field @p key of @p v exactly into @p out; false,
+ *  with @p err set, when it is missing or @p out cannot hold it. */
+template <std::integral T>
+bool
+needInteger(const obs::JsonValue &v, const char *key, T &out,
+            std::string &err)
+{
+    const obs::JsonValue *m = need(v, key, err);
+    if (m && !m->asInteger(out)) {
+        err = std::string("field \"") + key + "\" is not an integer in [" +
+              std::to_string(std::numeric_limits<T>::min()) + ", " +
+              std::to_string(std::numeric_limits<T>::max()) + "]";
+        return false;
+    }
+    return m != nullptr;
 }
 
 } // namespace
@@ -56,29 +90,25 @@ choiceFromJson(const obs::JsonValue &v, Choice &out, std::string &err)
         err = "choice is not an object";
         return false;
     }
-    const obs::JsonValue *m = nullptr;
-    if (!(m = need(v, "cycle", err)))
+    if (!needInteger(v, "cycle", out.cycle, err))
         return false;
-    out.cycle = m->asU64();
-    if (!(m = need(v, "type", err)))
+    const std::string *type = needString(v, "type", err);
+    if (!type)
         return false;
-    if (!fromString(m->asString(), out.type)) {
-        err = "unknown SM type \"" + m->asString() + "\"";
+    if (!fromString(*type, out.type)) {
+        err = "unknown SM type \"" + *type + "\"";
         return false;
     }
-    if (!(m = need(v, "sender", err)))
+    if (!needInteger(v, "sender", out.sender, err) ||
+        !needInteger(v, "outport", out.outport, err) ||
+        !needInteger(v, "nth", out.nth, err)) {
         return false;
-    out.sender = static_cast<RouterId>(m->asNumber());
-    if (!(m = need(v, "outport", err)))
+    }
+    const std::string *action = needString(v, "action", err);
+    if (!action)
         return false;
-    out.outport = static_cast<PortId>(m->asNumber());
-    if (!(m = need(v, "nth", err)))
-        return false;
-    out.nth = static_cast<int>(m->asNumber());
-    if (!(m = need(v, "action", err)))
-        return false;
-    if (!fromString(m->asString(), out.action)) {
-        err = "unknown action \"" + m->asString() + "\"";
+    if (!fromString(*action, out.action)) {
+        err = "unknown action \"" + *action + "\"";
         return false;
     }
     return true;
@@ -108,19 +138,23 @@ runSpecFromJson(const obs::JsonValue &v, RunSpec &out, std::string &err)
         err = "run spec is not an object";
         return false;
     }
-    const obs::JsonValue *m = nullptr;
-    if (!(m = need(v, "scenario", err)))
+    const std::string *scenario = needString(v, "scenario", err);
+    if (!scenario)
         return false;
-    out.scenario = m->asString();
-    if (!(m = need(v, "mutation", err)))
+    out.scenario = *scenario;
+    const std::string *mutation = needString(v, "mutation", err);
+    if (!mutation)
         return false;
-    if (!fromString(m->asString(), out.mutation)) {
-        err = "unknown mutation \"" + m->asString() + "\"";
+    if (!fromString(*mutation, out.mutation)) {
+        err = "unknown mutation \"" + *mutation + "\"";
         return false;
     }
-    if (!(m = need(v, "faultCycle", err)))
+    const obs::JsonValue *m = need(v, "faultCycle", err);
+    if (!m)
         return false;
-    out.faultCycle = m->isNull() ? kNeverCycle : m->asU64();
+    out.faultCycle = kNeverCycle;
+    if (!m->isNull() && !needInteger(v, "faultCycle", out.faultCycle, err))
+        return false;
     if (!(m = need(v, "choices", err)))
         return false;
     if (!m->isArray()) {
@@ -156,26 +190,26 @@ traceFromJson(const obs::JsonValue &doc, Violation &out, std::string &err)
         err = "trace is not an object";
         return false;
     }
-    const obs::JsonValue *m = nullptr;
-    if (!(m = need(doc, "schema", err)))
+    const std::string *schema = needString(doc, "schema", err);
+    if (!schema)
         return false;
-    if (m->asString() != kSchema) {
-        err = "unexpected schema \"" + m->asString() + "\" (want " +
-              kSchema + ")";
+    if (*schema != kSchema) {
+        err = "unexpected schema \"" + *schema + "\" (want " + kSchema +
+              ")";
         return false;
     }
-    if (!(m = need(doc, "kind", err)))
+    const std::string *kind = needString(doc, "kind", err);
+    if (!kind)
         return false;
-    out.kind = m->asString();
-    if (!(m = need(doc, "message", err)))
+    out.kind = *kind;
+    const std::string *message = needString(doc, "message", err);
+    if (!message)
         return false;
-    out.message = m->asString();
-    if (!(m = need(doc, "cycle", err)))
+    out.message = *message;
+    if (!needInteger(doc, "cycle", out.cycle, err))
         return false;
-    out.cycle = m->asU64();
-    if (!(m = need(doc, "run", err)))
-        return false;
-    return runSpecFromJson(*m, out.run, err);
+    const obs::JsonValue *run = need(doc, "run", err);
+    return run && runSpecFromJson(*run, out.run, err);
 }
 
 bool
