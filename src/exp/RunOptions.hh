@@ -25,6 +25,7 @@
 #include "exp/ArgParse.hh"
 #include "obs/Json.hh"
 #include "obs/Profiler.hh"
+#include "sim/Parallel.hh"
 
 namespace spin
 {
@@ -38,10 +39,6 @@ class MemoryMetricsSink;
 
 namespace spin::exp
 {
-
-/** The most threads `-t` (inside one network) and spin_sweep's `-j`
- *  (cells at once) accept. */
-inline constexpr int kMaxThreads = 64;
 
 /** See file comment; each field is set by one row of flags(). */
 struct RunOptions

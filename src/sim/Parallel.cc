@@ -1,7 +1,22 @@
 #include "sim/Parallel.hh"
 
+#include <algorithm>
+
+#include <sched.h>
+
 namespace spin
 {
+
+int
+availableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    const int n = sched_getaffinity(0, sizeof(set), &set) == 0
+                      ? CPU_COUNT(&set)
+                      : static_cast<int>(std::thread::hardware_concurrency());
+    return std::clamp(n, 1, kMaxThreads);
+}
 
 StepExecutor::StepExecutor(int threads)
     : nthreads_(threads < 1 ? 1 : threads)

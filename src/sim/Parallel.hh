@@ -31,6 +31,15 @@
 namespace spin
 {
 
+/** The most threads a worker pool here runs: `-t` (inside one network)
+ *  and the `-j` of spin_sweep (cells at once) and spin_model (runs at
+ *  once) take 1 to this. */
+inline constexpr int kMaxThreads = 64;
+
+/** The CPUs this process may run on (its affinity mask, as nproc
+ *  counts them), clamped to [1, kMaxThreads]. */
+int availableCpus();
+
 /** See file comment. */
 class StepExecutor
 {

@@ -23,6 +23,26 @@
  *    with at least as much remaining budget (visited-state dedup; ring
  *    scenarios additionally canonicalize over rotations).
  *
+ * Runs are simulated in parallel on a worker pool (ExplorerOptions::
+ * jobs) and their effects committed in frontier order, so explore()
+ * returns exactly what one run at a time would for any worker count:
+ *
+ *  - The next batch of frontier runs (16 per worker) is simulated
+ *    against the visited set as it stood when the batch began; nothing
+ *    writes to it during a batch. A run logs each visited digest and
+ *    each Delay/Drop branch instead of writing them.
+ *  - The calling thread then commits the logs in frontier order,
+ *    against the live sets: a run ends at its first visit the live set
+ *    covers, its branches up to there join the frontier, and its trail
+ *    joins the visited set unless it fell off the horizon unchecked.
+ *  - This is exact because a run's trajectory depends on the shared
+ *    sets only through where it is pruned (every SM that is not one of
+ *    its own choices is delivered whatever the sets hold), and the
+ *    visited set only grows (no entry is erased, no budget falls): a
+ *    run simulated against an older snapshot stops no earlier than the
+ *    one-at-a-time run would, and everything it logged up to that stop
+ *    is what that run does.
+ *
  * Checked on every cycle of every run: the runtime flit/credit/freeze
  * auditor (deadlock/Invariants.hh) extended with verification-only
  * invariants, the Fig. 4a FSM transition relation, and per-source
@@ -39,6 +59,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/Parallel.hh"
 #include "verify/Scenarios.hh"
 #include "verify/Trace.hh"
 
@@ -57,6 +78,9 @@ struct ExplorerOptions
     ProtocolMutation mutation = ProtocolMutation::None;
     /** Flag runs that neither quiesce nor get pruned by the horizon. */
     bool checkLiveness = true;
+    /** Worker threads simulating runs (clamped to [1, kMaxThreads]);
+     *  the result is identical for any value. */
+    int jobs = availableCpus();
 };
 
 struct ExploreResult

@@ -17,7 +17,10 @@
  * (flit conservation, frozen-VC bookkeeping, Fig. 4a transitions,
  * one-spin-per-loop), and every run must drain within the paper's
  * k = m*p + (m-1) spin bound. Violations come back as minimized,
- * deterministically replayable traces (spin-model-trace/v1).
+ * deterministically replayable traces (spin-model-trace/v1). Runs are
+ * explored on -j worker threads (default: every CPU the process may
+ * use); the printed lines, the report and the traces are identical for
+ * any -j (docs/VERIFICATION.md, "Parallel exploration").
  *
  * Examples:
  *   spin_model                                   # verify all scenarios
@@ -27,7 +30,9 @@
  *
  * exit status: 0 everything verified clean (or --replay reproduced its
  *              violation), 1 violation found (or --replay failed to
- *              reproduce), 2 usage error
+ *              reproduce), 2 usage error, or a --json report or
+ *              --trace-dir trace that cannot be written (after every
+ *              other output)
  */
 
 #include <cstdio>
@@ -37,6 +42,7 @@
 
 #include "exp/ArgParse.hh"
 #include "obs/Json.hh"
+#include "sim/Parallel.hh"
 #include "verify/Explorer.hh"
 #include "verify/Scenarios.hh"
 #include "verify/Trace.hh"
@@ -52,6 +58,7 @@ struct Options
     std::string scenario;
     int budget = 1;
     std::uint64_t maxRuns = 0;
+    int jobs = availableCpus();
     std::string mutate = toString(ProtocolMutation::None);
     bool noLiveness = false;
     std::string traceDir;
@@ -149,11 +156,18 @@ main(int argc, char **argv)
                         " (inject a protocol defect; the checker must "
                         "catch it -- CI runs this as a self-test)",
                     "NAME"),
+        exp::argInt("-j, --jobs", &o.jobs,
+                    "worker threads exploring runs (1 to " +
+                        std::to_string(kMaxThreads) +
+                        ", default: the CPUs this process may use); "
+                        "every output is identical for any value",
+                    1, kMaxThreads),
         exp::argFlag("--no-liveness", &o.noLiveness,
                      "disable the bounded-liveness horizon check"),
         exp::argStr("--trace-dir", &o.traceDir,
                     "write a minimized spin-model-trace/v1 file per "
-                    "violation (DIR must exist)",
+                    "violation (DIR must exist; a trace that cannot be "
+                    "written exits 2)",
                     "DIR"),
         exp::argStr("--json", &o.jsonPath,
                     "machine-readable report (spin-model-report/v1)"),
@@ -169,7 +183,8 @@ main(int argc, char **argv)
         "[options]\n"
         "exhaustive model checker for the SPIN recovery protocol\n\n",
         "\nexit status: 0 verified clean / replay reproduced, 1 violation "
-        "/\n             replay mismatch, 2 usage error\n");
+        "/\n             replay mismatch, 2 usage error or an unwritable "
+        "--json\n             report or --trace-dir trace\n");
     if (o.list)
         return listScenarios();
     if (!o.replayPath.empty())
@@ -179,6 +194,7 @@ main(int argc, char **argv)
     eopt.budget = o.budget;
     eopt.maxRuns = o.maxRuns;
     eopt.checkLiveness = !o.noLiveness;
+    eopt.jobs = o.jobs;
     if (!fromString(o.mutate, eopt.mutation))
         usage.fail("unknown mutation \"" + o.mutate + "\"");
 
@@ -198,6 +214,7 @@ main(int argc, char **argv)
     obs::JsonValue rows = obs::JsonValue::array();
 
     std::uint64_t totalViolations = 0;
+    bool traceUnwritten = false;
     for (const Scenario *sc : targets) {
         const ExploreResult res = explore(*sc, eopt);
         totalViolations += res.violations.size();
@@ -228,12 +245,14 @@ main(int argc, char **argv)
                 const std::string path = o.traceDir + "/" + sc->name + "-" +
                                          v.kind + "-" +
                                          std::to_string(idx) + ".json";
-                if (traceToFile(v, path))
+                if (traceToFile(v, path)) {
                     std::printf("    trace: %s\n", path.c_str());
-                else
+                } else {
                     std::fprintf(stderr,
                                  "spin_model: cannot write %s\n",
                                  path.c_str());
+                    traceUnwritten = true;
+                }
             }
             ++idx;
         }
@@ -255,7 +274,7 @@ main(int argc, char **argv)
     if (totalViolations != 0) {
         std::printf("spin_model: %llu violation(s)\n",
                     static_cast<unsigned long long>(totalViolations));
-        return 1;
+        return traceUnwritten ? 2 : 1;
     }
     if (!o.quiet)
         std::printf("spin_model: all scenarios verified clean\n");
